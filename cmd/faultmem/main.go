@@ -457,7 +457,8 @@ func workerCmd(ctx context.Context, args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := faultmem.SweepWorkerConfig{Heartbeat: *heartbeat, LocalWorkers: *workers, AuthToken: *authToken}
+	var stats faultmem.SweepWorkerStats
+	cfg := faultmem.SweepWorkerConfig{Heartbeat: *heartbeat, LocalWorkers: *workers, AuthToken: *authToken, Stats: &stats}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "faultmem worker: "+format+"\n", args...)
@@ -471,6 +472,7 @@ func workerCmd(ctx context.Context, args []string, stderr io.Writer) int {
 		}
 		return 1
 	}
-	fmt.Fprintln(stderr, "faultmem worker: sweep complete")
+	fmt.Fprintf(stderr, "faultmem worker: sweep complete (%d shards computed, %d refused)\n",
+		stats.Computed.Load(), stats.Refused.Load())
 	return 0
 }

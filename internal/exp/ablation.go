@@ -61,8 +61,14 @@ func AblationMultiFault(seed int64, trials int) []AblationMultiFaultRow {
 // environment: identical rows when the context stays live, ctx.Err()
 // when cancelled mid-study.
 func AblationMultiFaultEnv(env mc.Env, p MultiFaultParams) ([]AblationMultiFaultRow, error) {
+	return runStage(env, env.Tag, p.stage)
+}
+
+// stage declares the study's one engine stage: one shard per
+// (nFM, faults-per-row) point, in sweep order.
+func (p MultiFaultParams) stage(tag string, done func([]AblationMultiFaultRow) error) (mc.Stage, error) {
 	if p.Trials < 1 {
-		panic("exp: non-positive trial count")
+		return mc.Stage{}, fmt.Errorf("exp: non-positive multi-fault trial count %d", p.Trials)
 	}
 	trials := p.Trials
 	type combo struct{ nfm, k int }
@@ -72,7 +78,7 @@ func AblationMultiFaultEnv(env mc.Env, p MultiFaultParams) ([]AblationMultiFault
 			combos = append(combos, combo{nfm, k})
 		}
 	}
-	return mc.RunEnv(env, 0, len(combos), p.Seed, func(i int, rng *rand.Rand) AblationMultiFaultRow {
+	shard := func(_ context.Context, _ struct{}, i int, rng *rand.Rand) AblationMultiFaultRow {
 		c := combos[i]
 		cfg := core.Config{Width: 32, NFM: c.nfm}
 		sumBest, sumPaper := 0.0, 0.0
@@ -88,7 +94,9 @@ func AblationMultiFaultEnv(env mc.Env, p MultiFaultParams) ([]AblationMultiFault
 			MeanMSEPaper: sumPaper / float64(trials),
 			PaperPenalty: sumPaper / sumBest,
 		}
-	})
+	}
+	return mc.NewStage(tag, 0, len(combos), p.Seed, nil, shard,
+		func(_ struct{}, rows []AblationMultiFaultRow) error { return done(rows) }), nil
 }
 
 func rowMSE(positions []int) float64 {
@@ -194,61 +202,75 @@ func DefaultTransientParams() TransientParams {
 // environment: identical rows when the context stays live, ctx.Err()
 // when cancelled mid-study.
 func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow, error) {
+	return runStage(env, env.Tag, p.stage)
+}
+
+// transientPoint is one (arm, rate) shard of the soft-error study. Its
+// error field is unexported, so the shard cannot be gob-encoded and the
+// study always computes on the host that runs it.
+type transientPoint struct {
+	row AblationTransientRow
+	err error
+}
+
+// stage declares the study's one engine stage: one shard per
+// (arm, rate) point over one persistent fault map shared by every
+// point, so the rows differ only in the scheme and the soft-error
+// intensity.
+func (p TransientParams) stage(tag string, done func([]AblationTransientRow) error) (mc.Stage, error) {
 	seed, rows, pcell, rates, readsPerCell := p.Seed, p.Rows, p.Pcell, p.Rates, p.Reads
-	if rows < 1 || readsPerCell < 1 {
-		return nil, fmt.Errorf("exp: bad transient ablation params")
+	if rows < 1 || readsPerCell < 1 || !(pcell >= 0 && pcell < 1) {
+		return mc.Stage{}, fmt.Errorf("exp: bad transient ablation params")
+	}
+	for _, rate := range rates {
+		if !(rate >= 0 && rate < 1) {
+			return mc.Stage{}, fmt.Errorf("exp: transient rate %g outside [0, 1)", rate)
+		}
 	}
 	arms := []Protection{ProtNone, ProtShuffle5, ProtPECC, ProtECC}
-	// One persistent fault map shared by every arm and rate, so the rows
-	// differ only in the scheme and the soft-error intensity. Each
-	// (arm, rate) point then runs as its own shard of the mc engine —
-	// independent functional memories, evaluated in parallel.
-	persistent := fault.GeneratePcell(stats.Derive(seed, 0), rows, 32, pcell, fault.Flip)
-	type pointOut struct {
-		row AblationTransientRow
-		err error
+	persistent := func() (fault.Map, error) {
+		return fault.GeneratePcell(stats.Derive(seed, 0), rows, 32, pcell, fault.Flip), nil
 	}
-	outs, runErr := mc.RunEnv(env, 0, len(arms)*len(rates), stats.DeriveSeed(seed, 1000),
-		func(i int, rng *rand.Rand) pointOut {
-			arm, rate := arms[i/len(rates)], rates[i%len(rates)]
-			m, err := arm.Build(rows, persistent)
-			if err != nil {
-				return pointOut{err: err}
-			}
-			if rate > 0 {
-				arrayOf(m).SetTransient(rate, rng)
-			}
+	shard := func(_ context.Context, persistent fault.Map, i int, rng *rand.Rand) transientPoint {
+		arm, rate := arms[i/len(rates)], rates[i%len(rates)]
+		m, err := arm.Build(rows, persistent)
+		if err != nil {
+			return transientPoint{err: err}
+		}
+		if rate > 0 {
+			arrayOf(m).SetTransient(rate, rng)
+		}
+		for r := 0; r < rows; r++ {
+			m.Write(r, 0)
+		}
+		sum := 0.0
+		for pass := 0; pass < readsPerCell; pass++ {
 			for r := 0; r < rows; r++ {
-				m.Write(r, 0)
-			}
-			sum := 0.0
-			for pass := 0; pass < readsPerCell; pass++ {
-				for r := 0; r < rows; r++ {
-					got := uint64(m.Read(r))
-					for v := got; v != 0; v &= v - 1 {
-						b := trailingZeros64(v)
-						e := math.Ldexp(1, b)
-						sum += e * e
-					}
+				got := uint64(m.Read(r))
+				for v := got; v != 0; v &= v - 1 {
+					b := trailingZeros64(v)
+					e := math.Ldexp(1, b)
+					sum += e * e
 				}
 			}
-			return pointOut{row: AblationTransientRow{
-				Scheme:        arm,
-				TransientRate: rate,
-				MeanMSE:       sum / float64(rows*readsPerCell),
-			}}
-		})
-	if runErr != nil {
-		return nil, runErr
-	}
-	out := make([]AblationTransientRow, 0, len(outs))
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
 		}
-		out = append(out, o.row)
+		return transientPoint{row: AblationTransientRow{
+			Scheme:        arm,
+			TransientRate: rate,
+			MeanMSE:       sum / float64(rows*readsPerCell),
+		}}
 	}
-	return out, nil
+	merge := func(_ fault.Map, outs []transientPoint) error {
+		out := make([]AblationTransientRow, 0, len(outs))
+		for _, o := range outs {
+			if o.err != nil {
+				return o.err
+			}
+			out = append(out, o.row)
+		}
+		return done(out)
+	}
+	return mc.NewStage(tag, 0, len(arms)*len(rates), stats.DeriveSeed(seed, 1000), persistent, shard, merge), nil
 }
 
 // arrayOf reaches the underlying bit-cell array of any protection arm.
@@ -317,6 +339,11 @@ func (multiFaultExperiment) Description() string {
 func (multiFaultExperiment) DefaultParams() any { return DefaultMultiFaultParams() }
 
 func (e multiFaultExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	return RunPlan(ctx, e, r)
+}
+
+// Plan declares the study's one engine stage.
+func (e multiFaultExperiment) Plan(r *Runner) (*Plan, error) {
 	p, err := runnerParams[MultiFaultParams](r, e)
 	if err != nil {
 		return nil, err
@@ -325,11 +352,9 @@ func (e multiFaultExperiment) Run(ctx context.Context, r *Runner) (*Result, erro
 	if r.quick() && p.Trials > 1000 {
 		p.Trials = 1000
 	}
-	rows, err := AblationMultiFaultEnv(r.env(ctx, e.Name(), ""), p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Experiment: e.Name(), Params: p, Tables: []*Table{AblationMultiFaultTable(rows)}}, nil
+	return singlePlan(e.Name(), p, p.stage, func(rows []AblationMultiFaultRow) []*Table {
+		return []*Table{AblationMultiFaultTable(rows)}
+	})
 }
 
 // lutExperiment adapts the LUT realization trade-off to the registry.
@@ -363,6 +388,11 @@ func (transientExperiment) Description() string {
 func (transientExperiment) DefaultParams() any { return DefaultTransientParams() }
 
 func (e transientExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	return RunPlan(ctx, e, r)
+}
+
+// Plan declares the study's one engine stage.
+func (e transientExperiment) Plan(r *Runner) (*Plan, error) {
 	p, err := runnerParams[TransientParams](r, e)
 	if err != nil {
 		return nil, err
@@ -371,9 +401,7 @@ func (e transientExperiment) Run(ctx context.Context, r *Runner) (*Result, error
 	if r.quick() && p.Rows > 256 {
 		p.Rows = 256
 	}
-	rows, err := AblationTransientEnv(r.env(ctx, e.Name(), ""), p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Experiment: e.Name(), Params: p, Tables: []*Table{AblationTransientTable(rows, p.Pcell)}}, nil
+	return singlePlan(e.Name(), p, p.stage, func(rows []AblationTransientRow) []*Table {
+		return []*Table{AblationTransientTable(rows, p.Pcell)}
+	})
 }

@@ -57,10 +57,10 @@ type Fig5Result struct {
 // once instead of seven times and the between-arm reduction factors of
 // YieldTable see the same samples on both sides. p.CDF.Workers sets the
 // engine's parallelism; results are identical for every worker count.
+// It panics on invalid params; Fig5Env reports them as an error.
 func Fig5(p Fig5Params) Fig5Result {
 	res, err := Fig5Env(mc.Env{}, p)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
 		panic(err)
 	}
 	return res
@@ -70,16 +70,28 @@ func Fig5(p Fig5Params) Fig5Result {
 // the context stays live, ctx.Err() when it is cancelled or deadlined
 // mid-campaign. Shard completions reach the environment's OnShard.
 func Fig5Env(env mc.Env, p Fig5Params) (Fig5Result, error) {
+	return runStage(env, env.Tag, p.stage)
+}
+
+// stage validates the params and declares the campaign's one engine
+// stage; done receives the per-arm CDFs once every shard has merged.
+func (p Fig5Params) stage(tag string, done func(Fig5Result) error) (mc.Stage, error) {
+	if len(p.YieldTargets) == 0 {
+		return mc.Stage{}, fmt.Errorf("exp: fig5 needs at least one yield target")
+	}
+	for _, q := range p.YieldTargets {
+		if !(q > 0 && q <= 1) {
+			return mc.Stage{}, fmt.Errorf("exp: fig5 yield target %g outside (0, 1]", q)
+		}
+	}
 	arms := Fig5Arms()
 	schemes := make([]yield.Scheme, len(arms))
 	for i, arm := range arms {
 		schemes[i] = arm.YieldScheme()
 	}
-	cdfs, err := yield.MSECDFAllEnv(env, p.CDF, schemes)
-	if err != nil {
-		return Fig5Result{}, err
-	}
-	return Fig5Result{Params: p, Arms: arms, CDFs: cdfs}, nil
+	return yield.MSECDFStage(tag, p.CDF, schemes, func(cdfs []yield.CDFResult) error {
+		return done(Fig5Result{Params: p, Arms: arms, CDFs: cdfs})
+	})
 }
 
 // fig5Experiment adapts the MSE-CDF campaign to the registry.
@@ -92,6 +104,11 @@ func (fig5Experiment) Description() string {
 func (fig5Experiment) DefaultParams() any { return DefaultFig5Params() }
 
 func (e fig5Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	return RunPlan(ctx, e, r)
+}
+
+// Plan declares the campaign's one engine stage.
+func (e fig5Experiment) Plan(r *Runner) (*Plan, error) {
 	p, err := runnerParams[Fig5Params](r, e)
 	if err != nil {
 		return nil, err
@@ -103,12 +120,9 @@ func (e fig5Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	if r.quick() && p.CDF.Trun > 2e4 {
 		p.CDF.Trun = 2e4
 	}
-	res, err := Fig5Env(r.env(ctx, e.Name(), ""), p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Experiment: e.Name(), Params: p,
-		Tables: []*Table{res.CDFTable(), res.YieldTable()}}, nil
+	return singlePlan(e.Name(), p, p.stage, func(out Fig5Result) []*Table {
+		return []*Table{out.CDFTable(), out.YieldTable()}
+	})
 }
 
 // CDFTable tabulates Pr(MSE <= x | N >= 1) for every arm over the grid —

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"faultmem/internal/mc"
+	"faultmem/internal/memstore"
 	"faultmem/internal/stats"
 	"faultmem/internal/workload"
 )
@@ -196,29 +197,32 @@ func Fig7(p Fig7Params) (Fig7Result, error) {
 // run returns promptly; shard completions reach the environment's
 // OnShard.
 func Fig7Env(env mc.Env, p Fig7Params) (Fig7Result, error) {
+	return runStage(env, stageTag("fig7", p.stageName()), p.stage)
+}
+
+// stageName is the benchmark's plan stage ("elasticnet", "pca", "knn").
+func (p Fig7Params) stageName() string { return strings.ToLower(p.App.String()) }
+
+// stage validates the params and declares the benchmark's quality stage;
+// done receives the result once every shard has merged.
+func (p Fig7Params) stage(tag string, done func(Fig7Result) error) (mc.Stage, error) {
+	if !p.App.valid() {
+		return mc.Stage{}, fmt.Errorf("exp: unknown app %v", p.App)
+	}
 	if p.Trials < 1 || p.Rows < 1 || p.Pcell <= 0 || p.Pcell >= 1 {
-		return Fig7Result{}, fmt.Errorf("exp: bad Fig7 params %+v", p)
+		return mc.Stage{}, fmt.Errorf("exp: bad Fig7 params %+v", p)
 	}
-	if err := env.Context().Err(); err != nil {
-		return Fig7Result{}, err
-	}
-	inst, err := p.prepare()
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	arms, _, err := runQualityArms(env, inst, qualityConfig{
-		name:    strings.ToLower(p.App.String()),
+	return qualityStage(tag, p.prepare, qualityConfig{
+		name:    p.stageName(),
 		arms:    Fig7Arms(),
 		rows:    p.Rows,
 		pcell:   p.Pcell,
 		trials:  p.Trials,
 		workers: p.Workers,
 		seed:    p.Seed,
-	})
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	return Fig7Result{Params: p, CleanMetric: inst.Clean(), ECCReference: 1.0, Arms: arms}, nil
+	}, func(inst workload.Instance, arms []Fig7Arm, _ []memstore.RecoveryStats) error {
+		return done(Fig7Result{Params: p, CleanMetric: inst.Clean(), ECCReference: 1.0, Arms: arms})
+	}), nil
 }
 
 // QualityCDFTable tabulates the per-arm quality CDF over a fixed grid —
@@ -298,6 +302,13 @@ func (fig7Experiment) Description() string {
 func (fig7Experiment) DefaultParams() any { return DefaultFig7Suite() }
 
 func (e fig7Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	return RunPlan(ctx, e, r)
+}
+
+// Plan declares one quality stage per configured benchmark, tagged
+// fig7/<app>; a benchmark configured twice gets its position appended
+// so every tag names one stage.
+func (e fig7Experiment) Plan(r *Runner) (*Plan, error) {
 	ps, err := runnerParams[[]Fig7Params](r, e)
 	if err != nil {
 		return nil, err
@@ -306,23 +317,28 @@ func (e fig7Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	// effective-params rewrite below cannot mutate caller state or let a
 	// later caller mutation corrupt the returned Result.Params.
 	ps = append([]Fig7Params(nil), ps...)
-	res := &Result{Experiment: e.Name()}
+	res := &Result{Experiment: e.Name(), Params: ps}
+	pl := &Plan{Unit: "apps", Result: func() (*Result, error) { return res, nil }}
+	seen := map[App]bool{}
 	for i := range ps {
 		ps[i].Seed = r.seedOr(ps[i].Seed)
 		ps[i].Workers = r.workersOr(ps[i].Workers)
 		if r.quick() && ps[i].Trials > QuickFig7Trials {
 			ps[i].Trials = QuickFig7Trials
 		}
-	}
-	res.Params = ps
-	for i, p := range ps {
-		stage := strings.ToLower(p.App.String())
-		out, err := Fig7Env(r.env(ctx, e.Name(), stage), p)
+		name := ps[i].stageName()
+		if seen[ps[i].App] {
+			name = fmt.Sprintf("%s-%d", name, i)
+		}
+		seen[ps[i].App] = true
+		st, err := ps[i].stage(stageTag(e.Name(), name), func(out Fig7Result) error {
+			res.Tables = append(res.Tables, out.QualityCDFTable(), out.SummaryTable())
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		res.Tables = append(res.Tables, out.QualityCDFTable(), out.SummaryTable())
-		r.note(e.Name(), "apps", i+1, len(ps))
+		pl.Stages = append(pl.Stages, st)
 	}
-	return res, nil
+	return pl, nil
 }

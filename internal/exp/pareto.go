@@ -41,11 +41,11 @@ type ParetoRow struct {
 }
 
 // Pareto evaluates every arm's quality (Fig. 5 machinery) and hardware
-// cost (Fig. 6 machinery) on a common scale.
+// cost (Fig. 6 machinery) on a common scale. It panics on invalid
+// params; ParetoEnv reports them as an error.
 func Pareto(p ParetoParams) []ParetoRow {
 	rows, err := ParetoEnv(mc.Env{}, p)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
 		panic(err)
 	}
 	return rows
@@ -54,6 +54,21 @@ func Pareto(p ParetoParams) []ParetoRow {
 // ParetoEnv is Pareto under an execution environment: bit-identical rows
 // when the context stays live, ctx.Err() when cancelled mid-campaign.
 func ParetoEnv(env mc.Env, p ParetoParams) ([]ParetoRow, error) {
+	return runStage(env, env.Tag, p.stage)
+}
+
+// stage declares the frontier's one engine stage: a single MSE-CDF pass
+// with common random numbers across every arm, so the frontier's
+// quality axis is read off identical fault-map samples and the
+// monotonicity the table claims (in nFM and in the P-ECC split) cannot
+// be scrambled by between-arm Monte-Carlo noise.
+func (p ParetoParams) stage(tag string, done func([]ParetoRow) error) (mc.Stage, error) {
+	if err := p.CDF.Validate(); err != nil {
+		return mc.Stage{}, err
+	}
+	if !(p.YieldTarget > 0 && p.YieldTarget <= 1) {
+		return mc.Stage{}, fmt.Errorf("exp: pareto yield target %g outside (0, 1]", p.YieldTarget)
+	}
 	lib := hw.Lib28nm()
 	macro := hw.Macro28nm(p.CDF.Rows)
 	eccOv := hw.ECCOverhead(lib, macro, ecc.H39_32())
@@ -76,6 +91,9 @@ func ParetoEnv(env mc.Env, p ParetoParams) ([]ParetoRow, error) {
 		})
 	}
 	for _, split := range p.PECCSplits {
+		if split < 1 || split > 32 {
+			return mc.Stage{}, fmt.Errorf("exp: pareto P-ECC split %d outside [1, 32]", split)
+		}
 		arms = append(arms, arm{
 			yield.PriorityECC{Protected: split},
 			hw.PartialECCOverhead(lib, macro, split),
@@ -83,31 +101,24 @@ func ParetoEnv(env mc.Env, p ParetoParams) ([]ParetoRow, error) {
 	}
 	arms = append(arms, arm{yield.FullECC{}, eccOv})
 
-	// One engine pass with common random numbers across every arm: the
-	// frontier's quality axis is read off identical fault-map samples, so
-	// the monotonicity the table claims (in nFM and in the P-ECC split)
-	// cannot be scrambled by between-arm Monte-Carlo noise.
 	schemes := make([]yield.Scheme, len(arms))
 	for i, a := range arms {
 		schemes[i] = a.scheme
 	}
-	results, err := yield.MSECDFAllEnv(env, p.CDF, schemes)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]ParetoRow, 0, len(arms))
-	for i, a := range arms {
-		pw, dl, ar := rel(a.oh)
-		rows = append(rows, ParetoRow{
-			Name:       a.scheme.Name(),
-			MSEAtYield: results[i].MSEAtYield(p.YieldTarget),
-			RelPower:   pw,
-			RelDelay:   dl,
-			RelArea:    ar,
-		})
-	}
-	return rows, nil
+	return yield.MSECDFStage(tag, p.CDF, schemes, func(results []yield.CDFResult) error {
+		rows := make([]ParetoRow, 0, len(arms))
+		for i, a := range arms {
+			pw, dl, ar := rel(a.oh)
+			rows = append(rows, ParetoRow{
+				Name:       a.scheme.Name(),
+				MSEAtYield: results[i].MSEAtYield(p.YieldTarget),
+				RelPower:   pw,
+				RelDelay:   dl,
+				RelArea:    ar,
+			})
+		}
+		return done(rows)
+	})
 }
 
 // paretoExperiment adapts the quality/overhead frontier to the registry.
@@ -120,6 +131,11 @@ func (paretoExperiment) Description() string {
 func (paretoExperiment) DefaultParams() any { return DefaultParetoParams() }
 
 func (e paretoExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	return RunPlan(ctx, e, r)
+}
+
+// Plan declares the frontier's one engine stage.
+func (e paretoExperiment) Plan(r *Runner) (*Plan, error) {
 	p, err := runnerParams[ParetoParams](r, e)
 	if err != nil {
 		return nil, err
@@ -131,11 +147,9 @@ func (e paretoExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	if r.quick() && p.CDF.Trun > 1e4 {
 		p.CDF.Trun = 1e4
 	}
-	rows, err := ParetoEnv(r.env(ctx, e.Name(), ""), p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Experiment: e.Name(), Params: p, Tables: []*Table{ParetoTable(rows, p)}}, nil
+	return singlePlan(e.Name(), p, p.stage, func(rows []ParetoRow) []*Table {
+		return []*Table{ParetoTable(rows, p)}
+	})
 }
 
 // ParetoTable renders the frontier.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -38,16 +39,19 @@ func workloadArms(arms []Protection) []workload.Arm {
 	return out
 }
 
-// runQualityArms is the shared Monte-Carlo engine behind fig7 and the
-// workloads/recovery campaigns: it splits the trial budget into
+// qualityStage declares the shared Monte-Carlo engine run behind fig7
+// and the workloads/recovery campaigns: it splits the trial budget into
 // contiguous spans, runs each span's trials on a per-shard
 // workload.TrialRunner (one RNG stream per trial derived from
 // (seed, trial), so the samples are bit-identical at any worker or
-// shard count), and returns one ascending-sorted quality sample per arm
-// plus the per-arm recovery counters merged across shards (nil when the
-// policy is None — merging is order-free field sums, so the counters
-// are worker-count deterministic too).
-func runQualityArms(env mc.Env, inst workload.Instance, cfg qualityConfig) ([]Fig7Arm, []memstore.RecoveryStats, error) {
+// shard count), and hands done the prepared instance, one
+// ascending-sorted quality sample per arm, and the per-arm recovery
+// counters merged across shards (nil when the policy is None — merging
+// is order-free field sums, so the counters are worker-count
+// deterministic too). prepare runs on whichever host computes shards,
+// so it must be memoized (workload.PrepareShared).
+func qualityStage(tag string, prepare func() (workload.Instance, error), cfg qualityConfig,
+	done func(inst workload.Instance, arms []Fig7Arm, recovery []memstore.RecoveryStats) error) mc.Stage {
 	narms := len(cfg.arms)
 	rcfg := workload.Config{
 		Name:          cfg.name,
@@ -59,59 +63,59 @@ func runQualityArms(env mc.Env, inst workload.Instance, cfg qualityConfig) ([]Fi
 	}
 	seedBase := stats.DeriveSeed(cfg.seed, 1000)
 	spans := mc.Split(cfg.trials, mc.Workers(cfg.workers))
-	cancel := env.Done()
 
-	outs, err := mc.RunEnv(env, cfg.workers, len(spans), seedBase,
-		func(shard int, _ *rand.Rand) workload.ShardOut {
-			span := spans[shard]
-			out := workload.ShardOut{Qs: make([]float64, 0, (span.End-span.Start)*narms)}
-			runner := workload.NewTrialRunner(inst, rcfg)
-			for trial := span.Start; trial < span.End; trial++ {
-				select {
-				case <-cancel:
-					// Abandon the shard; the engine reports ctx.Err() and
-					// the partial samples are discarded with it.
-					return out
-				default:
-				}
-				qs, err := runner.RunTrial(seedBase, trial, out.Qs)
-				out.Qs = qs
-				if err != nil {
-					out.Err = err.Error()
-					return out
-				}
+	shard := func(ctx context.Context, inst workload.Instance, k int, _ *rand.Rand) workload.ShardOut {
+		span := spans[k]
+		out := workload.ShardOut{Qs: make([]float64, 0, (span.End-span.Start)*narms)}
+		runner := workload.NewTrialRunner(inst, rcfg)
+		cancel := ctx.Done()
+		for trial := span.Start; trial < span.End; trial++ {
+			select {
+			case <-cancel:
+				// Abandon the shard; the engine reports ctx.Err() and
+				// the partial samples are discarded with it.
+				return out
+			default:
 			}
-			out.Recovery = runner.RecoveryStats()
-			return out
-		})
-	if err != nil {
-		return nil, nil, err
+			qs, err := runner.RunTrial(seedBase, trial, out.Qs)
+			out.Qs = qs
+			if err != nil {
+				out.Err = err.Error()
+				return out
+			}
+		}
+		out.Recovery = runner.RecoveryStats()
+		return out
 	}
 
-	for _, o := range outs {
-		if o.Err != "" {
-			return nil, nil, errors.New(o.Err)
-		}
-	}
-	var recovery []memstore.RecoveryStats
-	if cfg.policy.Active() {
-		recovery = make([]memstore.RecoveryStats, narms)
+	merge := func(inst workload.Instance, outs []workload.ShardOut) error {
 		for _, o := range outs {
-			for ai, s := range o.Recovery {
-				recovery[ai].Merge(s)
+			if o.Err != "" {
+				return errors.New(o.Err)
 			}
 		}
-	}
-	res := make([]Fig7Arm, 0, narms)
-	for ai, arm := range cfg.arms {
-		qualities := make([]float64, 0, cfg.trials)
-		for _, o := range outs {
-			for t := 0; t*narms < len(o.Qs); t++ {
-				qualities = append(qualities, o.Qs[t*narms+ai])
+		var recovery []memstore.RecoveryStats
+		if cfg.policy.Active() {
+			recovery = make([]memstore.RecoveryStats, narms)
+			for _, o := range outs {
+				for ai, s := range o.Recovery {
+					recovery[ai].Merge(s)
+				}
 			}
 		}
-		sort.Float64s(qualities)
-		res = append(res, Fig7Arm{Scheme: arm, Qualities: qualities})
+		res := make([]Fig7Arm, 0, narms)
+		for ai, arm := range cfg.arms {
+			qualities := make([]float64, 0, cfg.trials)
+			for _, o := range outs {
+				for t := 0; t*narms < len(o.Qs); t++ {
+					qualities = append(qualities, o.Qs[t*narms+ai])
+				}
+			}
+			sort.Float64s(qualities)
+			res = append(res, Fig7Arm{Scheme: arm, Qualities: qualities})
+		}
+		return done(inst, res, recovery)
 	}
-	return res, recovery, nil
+
+	return mc.NewStage(tag, cfg.workers, len(spans), seedBase, prepare, shard, merge)
 }

@@ -137,38 +137,37 @@ func Recovery(p RecoveryParams) (RecoveryResult, error) {
 // identical die and soft-error sequence (common random numbers), so a
 // policy can only move a trial's quality through recovery itself.
 func RecoveryEnv(env mc.Env, p RecoveryParams) (RecoveryResult, error) {
-	kinds, err := p.resolvePolicies()
+	var res RecoveryResult
+	stages, err := p.stages("recovery", &res)
 	if err != nil {
 		return RecoveryResult{}, err
 	}
-	res, inst, err := p.prepare()
-	if err != nil {
-		return RecoveryResult{}, err
-	}
-	for _, k := range kinds {
-		if err := env.Context().Err(); err != nil {
+	for _, st := range stages {
+		if err := st.Run(env); err != nil {
 			return RecoveryResult{}, err
 		}
-		run, err := p.runPolicy(env, inst, res.Workload, k)
-		if err != nil {
-			return RecoveryResult{}, err
-		}
-		res.Runs = append(res.Runs, run)
 	}
 	return res, nil
 }
 
-// prepare validates the params and builds the workload instance and the
-// result shell.
-func (p RecoveryParams) prepare() (RecoveryResult, workload.Instance, error) {
+// stages validates the params and declares one quality stage per
+// policy, tagged experiment/<policy>, each running the workload through
+// all protection arms. Each stage's merge fills res with the workload's
+// description and appends that policy's run. The instance is prepared
+// lazily by whichever host computes the stage's shards.
+func (p RecoveryParams) stages(experiment string, res *RecoveryResult) ([]mc.Stage, error) {
 	if p.Trials < 1 || p.Rows < 1 || p.Pcell <= 0 || p.Pcell >= 1 {
-		return RecoveryResult{}, nil, fmt.Errorf("exp: bad recovery params %+v", p)
+		return nil, fmt.Errorf("exp: bad recovery params %+v", p)
 	}
 	if p.TransientRate < 0 || p.TransientRate >= 1 {
-		return RecoveryResult{}, nil, fmt.Errorf("exp: recovery transient rate %g outside [0, 1)", p.TransientRate)
+		return nil, fmt.Errorf("exp: recovery transient rate %g outside [0, 1)", p.TransientRate)
 	}
 	if p.Retries < 0 || p.SafeWords < 0 {
-		return RecoveryResult{}, nil, fmt.Errorf("exp: negative recovery budget (retries %d, safewords %d)", p.Retries, p.SafeWords)
+		return nil, fmt.Errorf("exp: negative recovery budget (retries %d, safewords %d)", p.Retries, p.SafeWords)
+	}
+	kinds, err := p.resolvePolicies()
+	if err != nil {
+		return nil, err
 	}
 	name := p.Workload
 	if name == "" {
@@ -176,9 +175,9 @@ func (p RecoveryParams) prepare() (RecoveryResult, workload.Instance, error) {
 	}
 	id, err := workload.Parse(name)
 	if err != nil {
-		return RecoveryResult{}, nil, fmt.Errorf("exp: recovery params: %w", err)
+		return nil, fmt.Errorf("exp: recovery params: %w", err)
 	}
-	inst, err := workload.PrepareShared(id, workload.Params{
+	wp := workload.Params{
 		Seed:             p.Seed,
 		MadelonPaperSize: p.MadelonPaperSize,
 		Keys:             p.Keys,
@@ -186,36 +185,30 @@ func (p RecoveryParams) prepare() (RecoveryResult, workload.Instance, error) {
 		Iters:            p.Iters,
 		Checkpoint:       p.Checkpoint,
 		Restarts:         p.Restarts,
-	})
-	if err != nil {
-		return RecoveryResult{}, nil, err
 	}
-	return RecoveryResult{
-		Params:   p,
-		Workload: id.String(),
-		Display:  id.Display(),
-		Metric:   inst.Metric(),
-		Clean:    inst.Clean(),
-	}, inst, nil
-}
-
-// runPolicy runs the quality engine for one policy over all arms.
-func (p RecoveryParams) runPolicy(env mc.Env, inst workload.Instance, name string, k workload.PolicyKind) (RecoveryPolicyRun, error) {
-	arms, stats, err := runQualityArms(env, inst, qualityConfig{
-		name:      name,
-		arms:      AllProtections(),
-		rows:      p.Rows,
-		pcell:     p.Pcell,
-		trials:    p.Trials,
-		workers:   p.Workers,
-		seed:      p.Seed,
-		policy:    p.policyFor(k),
-		transient: p.TransientRate,
-	})
-	if err != nil {
-		return RecoveryPolicyRun{}, err
+	*res = RecoveryResult{Params: p, Workload: id.String(), Display: id.Display()}
+	stages := make([]mc.Stage, len(kinds))
+	for i, k := range kinds {
+		stages[i] = qualityStage(stageTag(experiment, k.String()),
+			func() (workload.Instance, error) { return workload.PrepareShared(id, wp) },
+			qualityConfig{
+				name:      res.Workload,
+				arms:      AllProtections(),
+				rows:      p.Rows,
+				pcell:     p.Pcell,
+				trials:    p.Trials,
+				workers:   p.Workers,
+				seed:      p.Seed,
+				policy:    p.policyFor(k),
+				transient: p.TransientRate,
+			},
+			func(inst workload.Instance, arms []Fig7Arm, stats []memstore.RecoveryStats) error {
+				res.Metric, res.Clean = inst.Metric(), inst.Clean()
+				res.Runs = append(res.Runs, RecoveryPolicyRun{Policy: k.String(), Arms: arms, Stats: stats})
+				return nil
+			})
 	}
-	return RecoveryPolicyRun{Policy: k.String(), Arms: arms, Stats: stats}, nil
+	return stages, nil
 }
 
 // MeanQualityTable tabulates mean quality per arm (rows) and policy
@@ -304,6 +297,11 @@ func (recoveryExperiment) Description() string {
 func (recoveryExperiment) DefaultParams() any { return DefaultRecoveryParams() }
 
 func (e recoveryExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	return RunPlan(ctx, e, r)
+}
+
+// Plan declares one quality stage per recovery policy.
+func (e recoveryExperiment) Plan(r *Runner) (*Plan, error) {
 	p, err := runnerParams[RecoveryParams](r, e)
 	if err != nil {
 		return nil, err
@@ -313,29 +311,20 @@ func (e recoveryExperiment) Run(ctx context.Context, r *Runner) (*Result, error)
 	if r.quick() && p.Trials > QuickRecoveryTrials {
 		p.Trials = QuickRecoveryTrials
 	}
-	kinds, err := p.resolvePolicies()
+	var out RecoveryResult
+	stages, err := p.stages(e.Name(), &out)
 	if err != nil {
 		return nil, err
 	}
-	out, inst, err := p.prepare()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Experiment: e.Name(), Params: p}
-	for i, k := range kinds {
-		stage := k.String()
-		run, err := p.runPolicy(r.env(ctx, e.Name(), stage), inst, out.Workload, k)
-		if err != nil {
-			return nil, err
+	return &Plan{Stages: stages, Unit: "policies", Result: func() (*Result, error) {
+		// The headline grids come first, then the per-policy counter
+		// tables in policy order.
+		tables := []*Table{out.MeanQualityTable(), out.YieldTable()}
+		for _, run := range out.Runs {
+			if run.Stats != nil {
+				tables = append(tables, out.StatsTable(run))
+			}
 		}
-		out.Runs = append(out.Runs, run)
-		if run.Stats != nil {
-			res.Tables = append(res.Tables, out.StatsTable(run))
-		}
-		r.note(e.Name(), "policies", i+1, len(kinds))
-	}
-	// The headline grids come first; the per-policy counter tables were
-	// appended as each policy finished.
-	res.Tables = append([]*Table{out.MeanQualityTable(), out.YieldTable()}, res.Tables...)
-	return res, nil
+		return &Result{Experiment: e.Name(), Params: p, Tables: tables}, nil
+	}}, nil
 }

@@ -54,9 +54,9 @@ type Runner struct {
 	// services use.
 	Params any
 	// Exec, when non-nil, takes over engine shard execution (mc.Env.Exec):
-	// the hook the multi-host sweep service uses, on the coordinator to
-	// fan shards out to remote workers and on a worker to compute exactly
-	// one requested shard of a replayed campaign. Leave nil for ordinary
+	// the hook a multi-host coordinator uses to fan each stage's shards
+	// out to remote workers. A worker does not run the campaign at all —
+	// it computes its one shard through PlanStage. Leave nil for ordinary
 	// local runs.
 	Exec mc.ExecFunc
 }
@@ -106,10 +106,7 @@ func (r *Runner) quick() bool { return r != nil && r.Quick }
 // executor under a tag that names this engine run uniquely within the
 // campaign ("experiment" or "experiment/stage").
 func (r *Runner) env(ctx context.Context, experiment, stage string) mc.Env {
-	e := mc.Env{Ctx: ctx, Tag: experiment}
-	if stage != "" {
-		e.Tag = experiment + "/" + stage
-	}
+	e := mc.Env{Ctx: ctx, Tag: stageTag(experiment, stage)}
 	if r != nil {
 		e.Exec = r.Exec
 	}

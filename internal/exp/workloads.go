@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"faultmem/internal/mc"
+	"faultmem/internal/memstore"
 	"faultmem/internal/workload"
 )
 
@@ -110,59 +111,64 @@ func Workloads(p WorkloadsParams) (WorkloadsResult, error) {
 // workload's dies, so the per-workload CDFs are compared on common
 // random numbers.
 func WorkloadsEnv(env mc.Env, p WorkloadsParams) (WorkloadsResult, error) {
-	if p.Trials < 1 || p.Rows < 1 || p.Pcell <= 0 || p.Pcell >= 1 {
-		return WorkloadsResult{}, fmt.Errorf("exp: bad workloads params %+v", p)
-	}
-	ids, err := p.resolveWorkloads()
+	res := WorkloadsResult{Params: p}
+	stages, err := p.stages("workloads", &res)
 	if err != nil {
 		return WorkloadsResult{}, err
 	}
-	res := WorkloadsResult{Params: p}
-	for _, id := range ids {
-		if err := env.Context().Err(); err != nil {
+	for _, st := range stages {
+		if err := st.Run(env); err != nil {
 			return WorkloadsResult{}, err
 		}
-		run, err := p.runOne(env, id)
-		if err != nil {
-			return WorkloadsResult{}, err
-		}
-		res.Runs = append(res.Runs, run)
 	}
 	return res, nil
 }
 
-// runOne prepares one workload's instance and runs the quality engine
-// over all protection arms.
-func (p WorkloadsParams) runOne(env mc.Env, id workload.ID) (WorkloadRun, error) {
-	inst, err := workload.PrepareShared(id, workload.Params{
-		Seed:             p.Seed,
-		MadelonPaperSize: p.MadelonPaperSize,
-		Keys:             p.Keys,
-		Dim:              p.Dim,
-		Iters:            p.Iters,
-	})
-	if err != nil {
-		return WorkloadRun{}, err
+// stages validates the params and declares one quality stage per
+// selected workload, tagged experiment/<workload>, each running all
+// protection arms; each stage's merge appends its workload's run to
+// res.Runs. The instance is prepared lazily by whichever host computes
+// the stage's shards.
+func (p WorkloadsParams) stages(experiment string, res *WorkloadsResult) ([]mc.Stage, error) {
+	if p.Trials < 1 || p.Rows < 1 || p.Pcell <= 0 || p.Pcell >= 1 {
+		return nil, fmt.Errorf("exp: bad workloads params %+v", p)
 	}
-	arms, _, err := runQualityArms(env, inst, qualityConfig{
-		name:    id.String(),
-		arms:    AllProtections(),
-		rows:    p.Rows,
-		pcell:   p.Pcell,
-		trials:  p.Trials,
-		workers: p.Workers,
-		seed:    p.Seed,
-	})
+	ids, err := p.resolveWorkloads()
 	if err != nil {
-		return WorkloadRun{}, err
+		return nil, err
 	}
-	return WorkloadRun{
-		Workload: id.String(),
-		Display:  id.Display(),
-		Metric:   inst.Metric(),
-		Clean:    inst.Clean(),
-		Arms:     arms,
-	}, nil
+	stages := make([]mc.Stage, len(ids))
+	for i, id := range ids {
+		wp := workload.Params{
+			Seed:             p.Seed,
+			MadelonPaperSize: p.MadelonPaperSize,
+			Keys:             p.Keys,
+			Dim:              p.Dim,
+			Iters:            p.Iters,
+		}
+		stages[i] = qualityStage(stageTag(experiment, strings.ToLower(id.String())),
+			func() (workload.Instance, error) { return workload.PrepareShared(id, wp) },
+			qualityConfig{
+				name:    id.String(),
+				arms:    AllProtections(),
+				rows:    p.Rows,
+				pcell:   p.Pcell,
+				trials:  p.Trials,
+				workers: p.Workers,
+				seed:    p.Seed,
+			},
+			func(inst workload.Instance, arms []Fig7Arm, _ []memstore.RecoveryStats) error {
+				res.Runs = append(res.Runs, WorkloadRun{
+					Workload: id.String(),
+					Display:  id.Display(),
+					Metric:   inst.Metric(),
+					Clean:    inst.Clean(),
+					Arms:     arms,
+				})
+				return nil
+			})
+	}
+	return stages, nil
 }
 
 // QualityCDFTable tabulates one workload's per-arm quality CDF over a
@@ -218,6 +224,11 @@ func (workloadsExperiment) Description() string {
 func (workloadsExperiment) DefaultParams() any { return DefaultWorkloadsParams() }
 
 func (e workloadsExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	return RunPlan(ctx, e, r)
+}
+
+// Plan declares one quality stage per selected workload.
+func (e workloadsExperiment) Plan(r *Runner) (*Plan, error) {
 	p, err := runnerParams[WorkloadsParams](r, e)
 	if err != nil {
 		return nil, err
@@ -227,21 +238,16 @@ func (e workloadsExperiment) Run(ctx context.Context, r *Runner) (*Result, error
 	if r.quick() && p.Trials > QuickWorkloadsTrials {
 		p.Trials = QuickWorkloadsTrials
 	}
-	ids, err := p.resolveWorkloads()
+	out := WorkloadsResult{Params: p}
+	stages, err := p.stages(e.Name(), &out)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Experiment: e.Name(), Params: p}
-	out := WorkloadsResult{Params: p}
-	for i, id := range ids {
-		stage := strings.ToLower(id.String())
-		run, err := p.runOne(r.env(ctx, e.Name(), stage), id)
-		if err != nil {
-			return nil, err
+	return &Plan{Stages: stages, Unit: "workloads", Result: func() (*Result, error) {
+		res := &Result{Experiment: e.Name(), Params: p}
+		for _, run := range out.Runs {
+			res.Tables = append(res.Tables, out.QualityCDFTable(run), out.SummaryTable(run))
 		}
-		out.Runs = append(out.Runs, run)
-		res.Tables = append(res.Tables, out.QualityCDFTable(run), out.SummaryTable(run))
-		r.note(e.Name(), "workloads", i+1, len(ids))
-	}
-	return res, nil
+		return res, nil
+	}}, nil
 }

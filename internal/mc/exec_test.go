@@ -81,31 +81,8 @@ func TestExecJobMetadata(t *testing.T) {
 	}
 }
 
-// TestExecSkipReturnsPartialRun: an executor that declines shards leaves
-// holes, and the engine must refuse to hand back the partial slice.
-func TestExecSkipReturnsPartialRun(t *testing.T) {
-	var captured atomic.Int32
-	env := Env{Exec: func(job ShardJob) (any, error) {
-		if job.Shard != 3 {
-			return nil, ErrShardSkipped
-		}
-		captured.Add(1)
-		return job.Run(), nil
-	}}
-	out, err := RunEnv(env, 4, 8, 1, execFn)
-	if !errors.Is(err, ErrPartialRun) {
-		t.Fatalf("err = %v, want ErrPartialRun", err)
-	}
-	if out != nil {
-		t.Fatal("partial run returned a result slice")
-	}
-	if captured.Load() != 1 {
-		t.Fatalf("selected shard executed %d times, want 1", captured.Load())
-	}
-}
-
-// TestExecErrorAbortsRun: a non-skip executor error must fail the run and
-// stop further claims.
+// TestExecErrorAbortsRun: an executor error must fail the run and stop
+// further claims.
 func TestExecErrorAbortsRun(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int32
@@ -159,5 +136,71 @@ func TestExecProgressCountsComputedShards(t *testing.T) {
 	}
 	if last.Load() != 16 {
 		t.Fatalf("last progress = %d, want 16", last.Load())
+	}
+}
+
+// countingStage declares execFn as a stage that counts its prepares and
+// shard runs and captures what it merges.
+func countingStage(merged *[]execShard, prepared, runs *atomic.Int32) Stage {
+	return NewStage("exp/stage", 4, 16, 42,
+		func() (int, error) { prepared.Add(1); return 0, nil },
+		func(_ context.Context, _ int, k int, rng *rand.Rand) execShard { runs.Add(1); return execFn(k, rng) },
+		func(_ int, outs []execShard) error { *merged = outs; return nil })
+}
+
+// TestStageRunMatchesRunEnv: a declared stage run locally merges exactly
+// what the plain engine yields, and prepares once.
+func TestStageRunMatchesRunEnv(t *testing.T) {
+	var got []execShard
+	var prepared, runs atomic.Int32
+	if err := countingStage(&got, &prepared, &runs).Run(Env{}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, Run(4, 16, 42, execFn)) {
+		t.Fatal("stage run diverged from plain Run")
+	}
+	if prepared.Load() != 1 || runs.Load() != 16 {
+		t.Fatalf("prepared %d times and ran %d shards, want 1 and 16", prepared.Load(), runs.Load())
+	}
+}
+
+// TestStageComputeIsOneShard: Compute(k) is the wire encoding of exactly
+// shard k — the bytes the coordinator decodes into the merged slice —
+// and runs no other shard.
+func TestStageComputeIsOneShard(t *testing.T) {
+	want := Run(4, 16, 42, execFn)
+	var merged []execShard
+	var prepared, runs atomic.Int32
+	st := countingStage(&merged, &prepared, &runs)
+	for _, k := range []int{0, 7, 15} {
+		b, err := st.Compute(context.Background(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := decodeShard[execShard](st.Tag, k, b); err != nil || !reflect.DeepEqual(v, want[k]) {
+			t.Fatalf("shard %d: got %+v (%v), want %+v", k, v, err, want[k])
+		}
+	}
+	if runs.Load() != 3 || prepared.Load() != 3 || merged != nil {
+		t.Fatalf("3 computes ran %d shards, %d prepares, merged %v; want 3, 3, nothing", runs.Load(), prepared.Load(), merged)
+	}
+}
+
+// TestStagePrepareErrorFailsRun: a failed prepare fails the stage before
+// any shard runs, on both paths.
+func TestStagePrepareErrorFailsRun(t *testing.T) {
+	boom := errors.New("boom")
+	var runs atomic.Int32
+	st := NewStage("s", 1, 4, 1, func() (int, error) { return 0, boom },
+		func(_ context.Context, _ int, k int, rng *rand.Rand) int { runs.Add(1); return k },
+		func(int, []int) error { return nil })
+	if err := st.Run(Env{}); !errors.Is(err, boom) {
+		t.Fatalf("Run err = %v, want boom", err)
+	}
+	if _, err := st.Compute(context.Background(), 0); !errors.Is(err, boom) {
+		t.Fatalf("Compute err = %v, want boom", err)
+	}
+	if runs.Load() != 0 {
+		t.Fatalf("%d shards ran after a failed prepare", runs.Load())
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -60,8 +59,10 @@ type Env struct {
 	// once per shard instead of running the shard function directly, and
 	// the claiming goroutine count is lifted to the shard count (Exec is
 	// expected to block on I/O or gate its own compute). See ExecFunc for
-	// the contract. The shard-level work export of the multi-host sweep
-	// service hangs off this hook.
+	// the contract. The multi-host sweep service hangs off this hook on
+	// the coordinator side only: it ships each job's (Tag, Shard, Shards)
+	// to a worker, which rebuilds the same Stage from the campaign's plan
+	// and runs just that shard through Stage.Compute.
 	Exec ExecFunc
 }
 
@@ -92,8 +93,9 @@ type ShardJob struct {
 	// a network round trip, a semaphore) must honor it.
 	Ctx context.Context
 	// Tag identifies the engine run (Env.Tag), Shard this job's index in
-	// [0, Shards). A remote replay must verify Shards matches before
-	// trusting Shard to mean the same slice of work.
+	// [0, Shards). A remote worker must verify that its own plan's stage
+	// has the same Shards before trusting Shard to mean the same slice
+	// of work.
 	Tag           string
 	Shard, Shards int
 	// Run computes the shard locally and returns its value (the engine's
@@ -108,21 +110,9 @@ type ShardJob struct {
 }
 
 // ExecFunc executes one exported shard on behalf of the engine. It
-// returns the shard's value (obtained from job.Run or job.Decode), or
-// ErrShardSkipped to leave the shard uncomputed (the run then fails with
-// ErrPartialRun so the holes can never be merged as results), or any
-// other error to abort the run.
+// returns the shard's value (obtained from job.Run or job.Decode) or an
+// error, which aborts the run.
 type ExecFunc func(job ShardJob) (any, error)
-
-// ErrShardSkipped is returned by an ExecFunc to decline a shard without
-// aborting the run — the selection mechanism of a replay harness that
-// wants exactly one shard of a campaign.
-var ErrShardSkipped = errors.New("mc: shard skipped by executor")
-
-// ErrPartialRun reports that an executor skipped at least one shard: the
-// output slice has holes and was withheld, so partial state can never be
-// merged as a complete result.
-var ErrPartialRun = errors.New("mc: executor skipped shards")
 
 // Run executes fn for every shard in [0, shards) on a pool of workers and
 // returns the per-shard results indexed by shard. Each shard receives an
@@ -162,13 +152,15 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 	}
 	done := env.Done()
 	out := make([]T, shards)
-	var completed atomic.Int64
+	// The count advances under the same lock as the callback, so events
+	// arrive in order: 1, 2, ... shards.
 	var noteMu sync.Mutex
+	completed := 0
 	note := func() {
-		n := int(completed.Add(1))
 		if env.OnShard != nil {
 			noteMu.Lock()
-			env.OnShard(n, shards)
+			completed++
+			env.OnShard(completed, shards)
 			noteMu.Unlock()
 		}
 	}
@@ -178,27 +170,6 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 	w := Workers(workers)
 	if w > shards {
 		w = shards
-	}
-	if w == 1 {
-		// Fast path: no goroutines, no atomics beyond the progress
-		// counter. Bit-identical to the parallel path by construction
-		// (same per-shard streams).
-		for s := 0; s < shards; s++ {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-			out[s] = fn(s, stats.Derive(seed, int64(s)))
-			note()
-		}
-		// A cancellation during the final shard must not surface as a
-		// clean result: shard functions may have bailed out early with
-		// partial output.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return out, nil
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -222,6 +193,9 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 		}()
 	}
 	wg.Wait()
+	// A cancellation during the final shards must not surface as a clean
+	// result: shard functions may have bailed out early with partial
+	// output.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -236,7 +210,7 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 func runExec[T any](env Env, ctx context.Context, shards int, seed int64,
 	fn func(shard int, rng *rand.Rand) T, out []T, note func()) ([]T, error) {
 	done := env.Done()
-	var next, skipped atomic.Int64
+	var next atomic.Int64
 	var failed atomic.Bool
 	var errMu sync.Mutex
 	var firstErr error
@@ -272,37 +246,21 @@ func runExec[T any](env Env, ctx context.Context, shards int, seed int64,
 					Shard:  s,
 					Shards: shards,
 					Run:    func() any { return fn(s, stats.Derive(seed, int64(s))) },
-					Encode: func(v any) ([]byte, error) {
-						var buf bytes.Buffer
-						if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-							return nil, fmt.Errorf("mc: encode shard %d of %q: %w", s, env.Tag, err)
-						}
-						return buf.Bytes(), nil
-					},
-					Decode: func(b []byte) (any, error) {
-						var v T
-						if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-							return nil, fmt.Errorf("mc: decode shard %d of %q: %w", s, env.Tag, err)
-						}
-						return v, nil
-					},
+					Encode: func(v any) ([]byte, error) { return encodeShard(env.Tag, s, v) },
+					Decode: func(b []byte) (any, error) { return decodeShard[T](env.Tag, s, b) },
 				}
 				v, err := env.Exec(job)
-				switch {
-				case err == nil:
-					t, ok := v.(T)
-					if !ok {
-						fail(fmt.Errorf("mc: executor returned %T for shard %d of %q, want %T", v, s, env.Tag, t))
-						return
-					}
-					out[s] = t
-					note()
-				case errors.Is(err, ErrShardSkipped):
-					skipped.Add(1)
-				default:
+				if err != nil {
 					fail(err)
 					return
 				}
+				t, ok := v.(T)
+				if !ok {
+					fail(fmt.Errorf("mc: executor returned %T for shard %d of %q, want %T", v, s, env.Tag, t))
+					return
+				}
+				out[s] = t
+				note()
 			}
 		}()
 	}
@@ -313,11 +271,102 @@ func runExec[T any](env Env, ctx context.Context, shards int, seed int64,
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if n := skipped.Load(); n > 0 {
-		return nil, fmt.Errorf("%w: %d of %d", ErrPartialRun, n, shards)
-	}
 	return out, nil
 }
+
+// encodeShard is the wire codec of shard values: gob, which fails for
+// shard types that cannot leave the process (unexported fields, funcs).
+func encodeShard(tag string, shard int, v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("mc: encode shard %d of %q: %w", shard, tag, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeShard reverses encodeShard into the engine's shard type.
+func decodeShard[T any](tag string, shard int, b []byte) (any, error) {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+		return nil, fmt.Errorf("mc: decode shard %d of %q: %w", shard, tag, err)
+	}
+	return v, nil
+}
+
+// Stage is one declared engine run of a campaign: the unit on which the
+// local engine, the multi-host coordinator and a remote worker agree.
+// Tag names the run on the wire ("experiment/stage") and Shards fixes
+// its partition. Run executes every shard — in-process, or through
+// env.Exec — and hands the outputs, in shard order, to the stage's
+// merge; Compute runs one shard and returns its wire encoding, which is
+// all a remote worker ever needs: no other shard or stage is touched.
+type Stage struct {
+	Tag    string
+	Shards int
+
+	run     func(env Env) error
+	compute func(ctx context.Context, shard int) ([]byte, error)
+}
+
+// NewStage declares a stage of shards fn(ctx, state, k, rng), where rng
+// is derived from (seed, k) exactly as in RunEnv, so a shard yields the
+// same bits on every host. prepare, when non-nil, builds the state the
+// shards share (a workload instance, say); it runs once per Run and once
+// per Compute, on whichever host computes the shards, so a worker serving
+// many shards should find it memoized. Its error fails the stage before
+// any shard runs. merge receives the state and every shard's output in
+// shard order after a complete, uncancelled Run. fn must poll ctx.Done()
+// if it runs long.
+func NewStage[S, T any](tag string, workers, shards int, seed int64, prepare func() (S, error),
+	fn func(ctx context.Context, state S, k int, rng *rand.Rand) T, merge func(state S, outs []T) error) Stage {
+	if prepare == nil {
+		prepare = func() (state S, err error) { return state, nil }
+	}
+	return Stage{
+		Tag:    tag,
+		Shards: shards,
+		run: func(env Env) error {
+			ctx := env.Context()
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			state, err := prepare()
+			if err != nil {
+				return err
+			}
+			outs, err := RunEnv(env, workers, shards, seed, func(k int, rng *rand.Rand) T {
+				return fn(ctx, state, k, rng)
+			})
+			if err != nil {
+				return err
+			}
+			return merge(state, outs)
+		},
+		compute: func(ctx context.Context, k int) ([]byte, error) {
+			state, err := prepare()
+			if err != nil {
+				return nil, err
+			}
+			v := fn(ctx, state, k, stats.Derive(seed, int64(k)))
+			// A cancelled shard may have bailed out with partial output.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return encodeShard(tag, k, v)
+		},
+	}
+}
+
+// Run executes the whole stage under env, tagged with the stage's Tag.
+func (s Stage) Run(env Env) error {
+	env.Tag = s.Tag
+	return s.run(env)
+}
+
+// Compute runs shard k in [0, Shards) of the stage alone and returns its
+// wire encoding — the bytes a ShardJob's Decode turns back into the
+// shard's value.
+func (s Stage) Compute(ctx context.Context, k int) ([]byte, error) { return s.compute(ctx, k) }
 
 // Span is a contiguous half-open range [Start, End) of global sample
 // indices owned by one shard.

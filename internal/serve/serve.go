@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -513,9 +514,22 @@ func (s *Server) runJob(j *servJob, m *sweep.Submit) {
 	stop := make(chan struct{})
 	s.wg.Add(1)
 	go s.snapshotLoop(j, stop)
-	res, err := exp.Run(j.ctx, m.Experiment, rc)
+	res, err := runCampaign(j.ctx, m.Experiment, rc)
 	close(stop)
 	s.finishJob(j, res, err)
+}
+
+// runCampaign runs one job's campaign, turning a panic on the job's
+// goroutine (a hostile param the experiment's checks missed) into that
+// job's failure with the stack kept, so one bad submission cannot take
+// the server and every tenant's jobs down with it.
+func runCampaign(ctx context.Context, name string, r *exp.Runner) (res *exp.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("serve: %s panicked: %v\n%s", name, p, debug.Stack())
+		}
+	}()
+	return exp.Run(ctx, name, r)
 }
 
 // snapshotLoop pushes a JobSnapshot to the job's owner every

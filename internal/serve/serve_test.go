@@ -33,34 +33,44 @@ func (e sleepExp) DefaultParams() any  { return &struct{}{} }
 func (e sleepExp) Description() string { return "synthetic test campaign" }
 
 func (e sleepExp) Run(ctx context.Context, r *exp.Runner) (*exp.Result, error) {
-	env := mc.Env{Ctx: ctx, Tag: e.name}
-	if r != nil {
-		env.Exec = r.Exec
-		if r.Progress != nil {
-			sink := r.Progress
-			env.OnShard = func(done, total int) {
-				sink(exp.Progress{Experiment: e.name, Done: done, Total: total})
+	return exp.RunPlan(ctx, e, r)
+}
+
+// Plan declares the campaign's one engine stage, so sweep workers can
+// compute its shards.
+func (e sleepExp) Plan(*exp.Runner) (*exp.Plan, error) {
+	var res *exp.Result
+	st := mc.NewStage(e.name, 0, e.shards, 1, nil,
+		func(ctx context.Context, _ struct{}, shard int, _ *rand.Rand) int {
+			select {
+			case <-time.After(e.delay):
+			case <-ctx.Done():
 			}
-		}
-	}
-	out, err := mc.RunEnv(env, 0, e.shards, 1, func(shard int, rng *rand.Rand) int {
-		select {
-		case <-time.After(e.delay):
-		case <-ctx.Done():
-		}
-		return shard
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := &exp.Table{Title: e.name, Header: []string{"shards"}}
-	t.AddRow(fmt.Sprint(len(out)))
-	return &exp.Result{Experiment: e.name, Tables: []*exp.Table{t}}, nil
+			return shard
+		},
+		func(_ struct{}, out []int) error {
+			t := &exp.Table{Title: e.name, Header: []string{"shards"}}
+			t.AddRow(fmt.Sprint(len(out)))
+			res = &exp.Result{Experiment: e.name, Tables: []*exp.Table{t}}
+			return nil
+		})
+	return &exp.Plan{Stages: []mc.Stage{st}, Result: func() (*exp.Result, error) { return res, nil }}, nil
+}
+
+// panicExp is a registry experiment that panics on the job goroutine —
+// the stand-in for a hostile param no check catches.
+type panicExp struct{}
+
+func (panicExp) Name() string       { return "panicky" }
+func (panicExp) DefaultParams() any { return &struct{}{} }
+func (panicExp) Run(context.Context, *exp.Runner) (*exp.Result, error) {
+	panic("synthetic campaign panic")
 }
 
 func init() {
 	exp.Register(sleepExp{name: "sleepy-long", shards: 40, delay: 25 * time.Millisecond})
 	exp.Register(sleepExp{name: "sleepy-short", shards: 4, delay: 25 * time.Millisecond})
+	exp.Register(panicExp{})
 }
 
 func testConfig(t *testing.T) serve.Config {
@@ -582,5 +592,45 @@ func TestServeWorkerJoinsMidRun(t *testing.T) {
 	}
 	if st := srv.PoolStats(); st.RemoteShards == 0 {
 		t.Errorf("worker joined mid-run but computed no shards: %+v", st)
+	}
+}
+
+// TestServeSurvivesHostileCampaigns: a submission whose params used to
+// panic the Fig. 5 engine (Trun 0), and a campaign that panics outright,
+// each fail only their own job — with the panic's message and stack in
+// the final — while a concurrent good fig5 job still returns exactly its
+// local bytes, and the server keeps admitting work afterwards.
+func TestServeSurvivesHostileCampaigns(t *testing.T) {
+	srv := startServer(t, testConfig(t))
+	c := dial(t, srv, serve.Options{})
+	seed := int64(7)
+	specs := []serve.Campaign{
+		{Experiment: "fig5", Quick: true, Seed: &seed, Params: []byte(`{"CDF":{"Trun":0}}`)},
+		{Experiment: "panicky"},
+		{Experiment: "fig5", Quick: true, Seed: &seed},
+	}
+	finals := make([]*serve.FinalResult, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			finals[i] = submitAndWait(t, c, spec)
+		}()
+	}
+	wg.Wait()
+	if f := finals[0]; f.Err == "" || !strings.Contains(f.Err, "Trun") {
+		t.Errorf("Trun 0 job: err %q, want a Trun param error", f.Err)
+	}
+	if f := finals[1]; !strings.Contains(f.Err, "synthetic campaign panic") || !strings.Contains(f.Err, "goroutine") {
+		t.Errorf("panicking job: err %q, want the panic value and its stack", f.Err)
+	}
+	if f := finals[2]; f.Err != "" {
+		t.Fatalf("good fig5 job failed: %s", f.Err)
+	} else if want := goldenJSON(t, "fig5"); !bytes.Equal(f.Result, want) {
+		t.Fatal("good fig5 job diverged from its local bytes next to hostile jobs")
+	}
+	if f := submitAndWait(t, c, serve.Campaign{Experiment: "sleepy-short"}); f.Err != "" {
+		t.Fatalf("server stopped serving after hostile jobs: %s", f.Err)
 	}
 }

@@ -102,8 +102,8 @@ func (s *statsCounters) snapshot() Stats {
 	}
 }
 
-// campaign is the replayable description of one distributed run: every
-// runner knob a worker needs to reproduce the coordinator's campaign
+// campaign is the wire description of one distributed run: every
+// runner knob a worker needs to rebuild the coordinator's stage plan
 // exactly. It is pinned at Run time and immutable afterwards.
 type campaign struct {
 	experiment string
@@ -269,6 +269,10 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) ConnectedWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.connectedLocked()
+}
+
+func (c *Coordinator) connectedLocked() int {
 	connected := 0
 	for _, s := range c.sessions {
 		if s.conn != nil {
@@ -283,12 +287,7 @@ func (c *Coordinator) ConnectedWorkers() int {
 func (c *Coordinator) AwaitWorkers(ctx context.Context, n int) error {
 	for {
 		c.mu.Lock()
-		connected := 0
-		for _, s := range c.sessions {
-			if s.conn != nil {
-				connected++
-			}
-		}
+		connected := c.connectedLocked()
 		ch := c.connChanged
 		c.mu.Unlock()
 		if connected >= n {
@@ -336,7 +335,7 @@ func (c *Coordinator) RunAll(ctx context.Context, r *exp.Runner, emit func(*exp.
 // DistributedRunner clones r with the shard executor installed — the
 // hook the serve scheduler wraps with its fair-share gate. The campaign
 // the executor ships is pinned per engine run from the resolved runner
-// knobs, so a worker's replay and the coordinator's plan agree on every
+// knobs, so a worker's plan and the coordinator's agree on every
 // machine-dependent default.
 func (c *Coordinator) DistributedRunner(r *exp.Runner) (*exp.Runner, error) {
 	rc := &exp.Runner{}
@@ -376,8 +375,7 @@ func (c *Coordinator) DistributedRunner(r *exp.Runner) (*exp.Runner, error) {
 	rc.Exec = func(sj mc.ShardJob) (any, error) {
 		// The campaign's experiment name is the tag's first component
 		// ("experiment" or "experiment/stage") — the engine run names
-		// itself, so nested helper runs inside other experiments replay
-		// under the right registry entry.
+		// itself, so one runner can serve every experiment of a RunAll.
 		camp := *camp
 		camp.experiment = sj.Tag
 		if i := strings.IndexByte(sj.Tag, '/'); i >= 0 {
@@ -391,14 +389,10 @@ func (c *Coordinator) DistributedRunner(r *exp.Runner) (*exp.Runner, error) {
 // execute is the mc.ExecFunc of a distributed campaign: enqueue the
 // shard, wait for a worker (or the local fallback) to deliver it.
 func (c *Coordinator) execute(camp *campaign, sj mc.ShardJob) (any, error) {
-	if camp.experiment == "" {
-		// An untagged engine run cannot be named on the wire; compute it
-		// here rather than fail the campaign.
-		return sj.Run(), nil
-	}
-	if _, ok := exp.Lookup(camp.experiment); !ok {
-		// Helper engine runs inside an experiment (sub-sweeps with their
-		// own tags) are not registry entries; they stay local.
+	if e, ok := exp.Lookup(camp.experiment); !ok || !isPlanner(e) {
+		// A worker can only rebuild the stages of an experiment that
+		// declares a plan; every other engine run (untagged, or a helper
+		// run inside an experiment) is computed here.
 		return sj.Run(), nil
 	}
 	j := &job{camp: camp, sj: sj, result: make(chan outcome, 1)}
@@ -409,7 +403,7 @@ func (c *Coordinator) execute(camp *campaign, sj mc.ShardJob) (any, error) {
 	c.jobs[j.id] = j
 	if _, poisoned := c.localTags[sj.Tag]; poisoned {
 		// A worker already proved this engine run cannot travel; don't
-		// burn a replay round trip per shard finding that out again.
+		// burn a round trip per shard finding that out again.
 		j.state = jobLocal
 		c.mu.Unlock()
 		c.runLocal(j)
@@ -433,6 +427,11 @@ func (c *Coordinator) execute(camp *campaign, sj mc.ShardJob) (any, error) {
 		c.abandon(j)
 		return nil, sj.Ctx.Err()
 	}
+}
+
+func isPlanner(e exp.Experiment) bool {
+	_, ok := e.(exp.Planner)
+	return ok
 }
 
 // liveSessionsLocked counts sessions that are connected or still within
@@ -895,7 +894,7 @@ func (c *Coordinator) handleResult(s *session, m *Result) {
 
 // handleJobError routes a shard the worker could not compute to local
 // compute: worker-side failures (unencodable shard type, plan mismatch,
-// replay error) are deterministic, so redispatching them remotely would
+// failed prepare) are deterministic, so redispatching them remotely would
 // fail everywhere. The whole engine run is poisoned along with it —
 // every sibling shard of the same tag, queued or in flight, moves to
 // local compute and the workers are told to abandon theirs.

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"faultmem/internal/exp"
+	"faultmem/internal/mc"
 	"faultmem/internal/sweep"
 	"faultmem/internal/sweep/chaostest"
 )
@@ -39,11 +43,16 @@ func testWorkerConfig(t *testing.T) sweep.WorkerConfig {
 
 func startCoordinator(t *testing.T) *sweep.Coordinator {
 	t.Helper()
+	return startCoordinatorWith(t, testConfig(t))
+}
+
+func startCoordinatorWith(t *testing.T, cfg sweep.Config) *sweep.Coordinator {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sweep.NewCoordinator(ln, testConfig(t))
+	c := sweep.NewCoordinator(ln, cfg)
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -53,11 +62,25 @@ func startCoordinator(t *testing.T) *sweep.Coordinator {
 // worker death as far as the coordinator can tell.
 func startWorker(t *testing.T, addr string) (kill func()) {
 	t.Helper()
+	return runWorker(t, addr, testWorkerConfig(t))
+}
+
+// startObservedWorker is startWorker with the worker's counters exposed.
+func startObservedWorker(t *testing.T, addr string) *sweep.WorkerStats {
+	t.Helper()
+	cfg := testWorkerConfig(t)
+	cfg.Stats = &sweep.WorkerStats{}
+	runWorker(t, addr, cfg)
+	return cfg.Stats
+}
+
+func runWorker(t *testing.T, addr string, cfg sweep.WorkerConfig) (kill func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sweep.RunWorker(ctx, addr, testWorkerConfig(t))
+		sweep.RunWorker(ctx, addr, cfg)
 	}()
 	var once sync.Once
 	kill = func() {
@@ -78,56 +101,79 @@ func testRunner() *exp.Runner {
 	return &exp.Runner{Quick: true, Seed: &seed}
 }
 
-// goldenJSON is the single-host truth the distributed runs must match
-// bit for bit.
-func goldenJSON(t *testing.T, name string) []byte {
+// startPool starts a coordinator with n attached workers and waits
+// until they have all joined.
+func startPool(t *testing.T, n int) *sweep.Coordinator {
 	t.Helper()
-	res, err := exp.Run(context.Background(), name, testRunner())
-	if err != nil {
-		t.Fatalf("local %s: %v", name, err)
+	c := startCoordinator(t)
+	for i := 0; i < n; i++ {
+		startWorker(t, c.Addr().String())
 	}
-	j, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
+	awaitWorkers(t, c, n)
+	return c
 }
 
-func distributedJSON(t *testing.T, c *sweep.Coordinator, name string) []byte {
+func awaitWorkers(t *testing.T, c *sweep.Coordinator, n int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.AwaitWorkers(ctx, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// withParams is the e2e campaign runner carrying a params override.
+func withParams(params json.RawMessage) func() *exp.Runner {
+	return func() *exp.Runner {
+		r := testRunner()
+		r.Params = params
+		return r
+	}
+}
+
+// matchLocal runs the campaign through the coordinator and on a single
+// host, fails unless the two results are byte-identical, and returns the
+// coordinator's stats.
+func matchLocal(t *testing.T, c *sweep.Coordinator, name string, runner func() *exp.Runner) sweep.Stats {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	res, err := c.Run(ctx, name, testRunner())
+	res, err := c.Run(ctx, name, runner())
 	if err != nil {
 		t.Fatalf("distributed %s: %v", name, err)
 	}
-	j, err := res.JSON()
+	got, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return j
+	localRes, err := exp.Run(context.Background(), name, runner())
+	if err != nil {
+		t.Fatalf("local %s: %v", name, err)
+	}
+	want, err := localRes.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("distributed %s output diverged from single-host run", name)
+	}
+	return c.Stats()
+}
+
+// requireAllRemote fails unless every shard of a campaign on a healthy
+// pool ran remotely: no JobError tag-poisoning, no local degradation.
+func requireAllRemote(t *testing.T, st sweep.Stats) {
+	t.Helper()
+	if st.RemoteShards == 0 || st.JobErrors != 0 || st.LocalShards != 0 {
+		t.Fatalf("stages must distribute fully on a healthy pool, not degrade to local: %+v", st)
+	}
 }
 
 // TestDistributedRunIsBitIdenticalToLocal: the baseline contract — three
 // healthy workers, shards computed remotely, output equal to the
 // single-host run byte for byte.
 func TestDistributedRunIsBitIdenticalToLocal(t *testing.T) {
-	c := startCoordinator(t)
-	for i := 0; i < 3; i++ {
-		startWorker(t, c.Addr().String())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	got := distributedJSON(t, c, "fig5")
-	want := goldenJSON(t, "fig5")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("distributed output diverged from single-host run\n got %d bytes\nwant %d bytes", len(got), len(want))
-	}
-	st := c.Stats()
+	st := matchLocal(t, startPool(t, 3), "fig5", testRunner)
 	if st.RemoteShards == 0 {
 		t.Fatalf("no shards were computed remotely: %+v", st)
 	}
@@ -144,21 +190,14 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 	kill := startWorker(t, c.Addr().String())
 	startWorker(t, c.Addr().String())
 	startWorker(t, c.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
+	awaitWorkers(t, c, 3)
 
 	// Kill one worker shortly after the campaign starts, while it almost
 	// certainly holds leases.
 	timer := time.AfterFunc(30*time.Millisecond, kill)
 	defer timer.Stop()
-	got := distributedJSON(t, c, "fig5")
 
-	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
-		t.Fatal("output diverged after mid-campaign worker death")
-	}
+	matchLocal(t, c, "fig5", testRunner)
 	if st := c.Stats(); st.RemoteShards == 0 {
 		t.Fatalf("no shards were computed remotely: %+v", st)
 	}
@@ -173,11 +212,7 @@ func TestAllWorkersKilledFallsBackToLocal(t *testing.T) {
 		startWorker(t, c.Addr().String()),
 		startWorker(t, c.Addr().String()),
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
+	awaitWorkers(t, c, 2)
 
 	timer := time.AfterFunc(20*time.Millisecond, func() {
 		for _, kill := range kills {
@@ -185,11 +220,8 @@ func TestAllWorkersKilledFallsBackToLocal(t *testing.T) {
 		}
 	})
 	defer timer.Stop()
-	got := distributedJSON(t, c, "fig5")
 
-	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
-		t.Fatal("output diverged after total pool loss")
-	}
+	matchLocal(t, c, "fig5", testRunner)
 	if st := c.Stats(); st.LocalShards == 0 {
 		// The pool died 20ms in; at least the tail must have run locally.
 		t.Fatalf("expected local fallback shards after pool drain: %+v", st)
@@ -200,12 +232,7 @@ func TestAllWorkersKilledFallsBackToLocal(t *testing.T) {
 // a plain local run.
 func TestNoWorkersRunsLocally(t *testing.T) {
 	c := startCoordinator(t)
-	got := distributedJSON(t, c, "fig5")
-	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
-		t.Fatal("workerless coordinator output diverged from plain local run")
-	}
-	st := c.Stats()
-	if st.RemoteShards != 0 || st.LocalShards == 0 {
+	if st := matchLocal(t, c, "fig5", testRunner); st.RemoteShards != 0 || st.LocalShards == 0 {
 		t.Fatalf("expected pure local execution: %+v", st)
 	}
 }
@@ -231,16 +258,9 @@ func TestChaosDropDupCorrupt(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	startWorker(t, proxy.Addr())
 	startWorker(t, proxy.Addr())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
+	awaitWorkers(t, c, 2)
 
-	got := distributedJSON(t, c, "fig5")
-	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
-		t.Fatal("output diverged under frame chaos")
-	}
+	matchLocal(t, c, "fig5", testRunner)
 	t.Logf("chaos stats: %+v", c.Stats())
 }
 
@@ -265,16 +285,9 @@ func TestHardDisconnectResume(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	startWorker(t, proxy.Addr())
 	startWorker(t, proxy.Addr())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
+	awaitWorkers(t, c, 2)
 
-	got := distributedJSON(t, c, "fig5")
-	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
-		t.Fatal("output diverged across forced reconnects")
-	}
+	matchLocal(t, c, "fig5", testRunner)
 	st := c.Stats()
 	if st.SessionsResumed == 0 {
 		t.Fatalf("expected session resumes under rolling disconnects: %+v", st)
@@ -301,16 +314,9 @@ func TestTruncatedMidFrameConnection(t *testing.T) {
 	// A second worker on a clean link keeps the campaign from depending
 	// entirely on the flaky one.
 	startWorker(t, c.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
+	awaitWorkers(t, c, 2)
 
-	got := distributedJSON(t, c, "fig5")
-	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
-		t.Fatal("output diverged across a mid-frame connection cut")
-	}
+	matchLocal(t, c, "fig5", testRunner)
 }
 
 // TestDistributedMultiStageExperiment: fig7 runs one engine stage per
@@ -325,51 +331,12 @@ func TestDistributedMultiStageExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-stage distributed run is the slowest e2e case")
 	}
-	params := json.RawMessage(`[{"App": 0, "Trials": 8, "Rows": 256}, {"App": 2, "Trials": 8, "Rows": 256}]`)
-	runner := func() *exp.Runner {
-		r := testRunner()
-		r.Params = params
-		return r
-	}
-
-	c := startCoordinator(t)
-	for i := 0; i < 3; i++ {
-		startWorker(t, c.Addr().String())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := c.Run(ctx, "fig7", runner())
-	if err != nil {
-		t.Fatalf("distributed fig7: %v", err)
-	}
-	got, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	localRes, err := exp.Run(context.Background(), "fig7", runner())
-	if err != nil {
-		t.Fatalf("local fig7: %v", err)
-	}
-	want, err := localRes.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("multi-stage distributed output diverged from single-host run")
-	}
-	st := c.Stats()
-	if st.RemoteShards == 0 {
-		t.Fatalf("no fig7 shards were computed remotely: %+v", st)
-	}
-	if st.JobErrors != 0 || st.LocalShards != 0 {
-		t.Fatalf("fig7 stages must distribute fully on a healthy pool, not degrade to local: %+v", st)
-	}
+	c := startPool(t, 3)
+	requireAllRemote(t, matchLocal(t, c, "fig7", withParams(fig7E2EParams)))
 }
+
+// fig7E2EParams trims fig7 to two apps at a handful of trials.
+var fig7E2EParams = json.RawMessage(`[{"App": 0, "Trials": 8, "Rows": 256}, {"App": 2, "Trials": 8, "Rows": 256}]`)
 
 // TestDistributedWorkloadsCampaign extends the zero-local-fallback
 // contract to the workloads campaign from day one: its shard output is
@@ -382,49 +349,8 @@ func TestDistributedWorkloadsCampaign(t *testing.T) {
 		t.Skip("distributed workloads run is a slower e2e case")
 	}
 	params := json.RawMessage(`{"Workloads": ["rsort", "cgsolve"], "Trials": 8, "Rows": 256, "Keys": 1024, "Dim": 24}`)
-	runner := func() *exp.Runner {
-		r := testRunner()
-		r.Params = params
-		return r
-	}
-
-	c := startCoordinator(t)
-	for i := 0; i < 3; i++ {
-		startWorker(t, c.Addr().String())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := c.Run(ctx, "workloads", runner())
-	if err != nil {
-		t.Fatalf("distributed workloads: %v", err)
-	}
-	got, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	localRes, err := exp.Run(context.Background(), "workloads", runner())
-	if err != nil {
-		t.Fatalf("local workloads: %v", err)
-	}
-	want, err := localRes.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("distributed workloads output diverged from single-host run")
-	}
-	st := c.Stats()
-	if st.RemoteShards == 0 {
-		t.Fatalf("no workloads shards were computed remotely: %+v", st)
-	}
-	if st.JobErrors != 0 || st.LocalShards != 0 {
-		t.Fatalf("workloads stages must distribute fully on a healthy pool, not degrade to local: %+v", st)
-	}
+	c := startPool(t, 3)
+	requireAllRemote(t, matchLocal(t, c, "workloads", withParams(params)))
 }
 
 // recoveryE2EParams is the small-budget recovery campaign the e2e cases
@@ -432,12 +358,6 @@ func TestDistributedWorkloadsCampaign(t *testing.T) {
 // outputs carry non-empty per-arm recovery counters over the wire.
 var recoveryE2EParams = json.RawMessage(
 	`{"Workload": "cgsolve", "Trials": 6, "Rows": 256, "Dim": 24, "TransientRate": 0.001, "SafeWords": 64}`)
-
-func recoveryRunner() *exp.Runner {
-	r := testRunner()
-	r.Params = recoveryE2EParams
-	return r
-}
 
 // TestDistributedRecoveryCampaign extends the zero-local-fallback
 // contract to the recovery campaign: its shard output is the same
@@ -450,43 +370,8 @@ func TestDistributedRecoveryCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed recovery run is a slower e2e case")
 	}
-	c := startCoordinator(t)
-	for i := 0; i < 3; i++ {
-		startWorker(t, c.Addr().String())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := c.Run(ctx, "recovery", recoveryRunner())
-	if err != nil {
-		t.Fatalf("distributed recovery: %v", err)
-	}
-	got, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	localRes, err := exp.Run(context.Background(), "recovery", recoveryRunner())
-	if err != nil {
-		t.Fatalf("local recovery: %v", err)
-	}
-	want, err := localRes.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("distributed recovery output diverged from single-host run")
-	}
-	st := c.Stats()
-	if st.RemoteShards == 0 {
-		t.Fatalf("no recovery shards were computed remotely: %+v", st)
-	}
-	if st.JobErrors != 0 || st.LocalShards != 0 {
-		t.Fatalf("recovery stages must distribute fully on a healthy pool, not degrade to local: %+v", st)
-	}
+	c := startPool(t, 3)
+	requireAllRemote(t, matchLocal(t, c, "recovery", withParams(recoveryE2EParams)))
 }
 
 // TestRecoveryWorkerKilledMidCampaign: a worker dying while it holds
@@ -501,94 +386,219 @@ func TestRecoveryWorkerKilledMidCampaign(t *testing.T) {
 	kill := startWorker(t, c.Addr().String())
 	startWorker(t, c.Addr().String())
 	startWorker(t, c.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := c.AwaitWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
+	awaitWorkers(t, c, 3)
 
 	timer := time.AfterFunc(30*time.Millisecond, kill)
 	defer timer.Stop()
-	res, err := c.Run(ctx, "recovery", recoveryRunner())
-	if err != nil {
-		t.Fatalf("distributed recovery: %v", err)
-	}
-	got, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	localRes, err := exp.Run(context.Background(), "recovery", recoveryRunner())
-	if err != nil {
-		t.Fatalf("local recovery: %v", err)
-	}
-	want, err := localRes.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("recovery output diverged after mid-campaign worker death")
-	}
-	if st := c.Stats(); st.RemoteShards == 0 {
+	if st := matchLocal(t, c, "recovery", withParams(recoveryE2EParams)); st.RemoteShards == 0 {
 		t.Fatalf("no recovery shards were computed remotely: %+v", st)
 	}
 }
 
-// TestJobErrorPoisonsTagToLocal: a protocol-level worker that fails
-// every job it is handed drives the JobError → poisoned tag →
-// local-compute degradation end to end. (The organic driver went away:
-// fig7's shard output is wireable now, so a real worker never refuses
-// its stages.) The campaign must still finish bit-identically, with
-// zero remote shards merged from the lying worker.
-func TestJobErrorPoisonsTagToLocal(t *testing.T) {
-	c := startCoordinator(t)
-	conn, err := net.Dial("tcp", c.Addr().String())
+// TestWorkerComputesOnlyDispatchedShards: a worker serving a six-stage
+// workloads campaign runs the shard function exactly once per shard it
+// is sent — one per shard of the campaign's plan — and computes no
+// shard of any other stage along the way (a worker that replayed the
+// campaign would recompute every earlier stage for each job).
+func TestWorkerComputesOnlyDispatchedShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed workloads run is a slower e2e case")
+	}
+	cfg := testConfig(t)
+	cfg.Lease = 10 * time.Second // no reassignment may add a second computation
+	c := startCoordinatorWith(t, cfg)
+	stats := startObservedWorker(t, c.Addr().String())
+	awaitWorkers(t, c, 1)
+
+	var mu sync.Mutex
+	totals := map[string]int{} // stage -> shard count, from engine progress
+	runner := func() *exp.Runner {
+		r := testRunner()
+		r.Progress = func(p exp.Progress) {
+			if p.Stage != "workloads" { // skip the per-stage coarse unit
+				mu.Lock()
+				totals[p.Stage] = p.Total
+				mu.Unlock()
+			}
+		}
+		return r
+	}
+	st := matchLocal(t, c, "workloads", runner)
+	requireAllRemote(t, st)
+	planned := 0
+	for _, n := range totals {
+		planned += n
+	}
+	if len(totals) != 6 {
+		t.Fatalf("campaign ran %d stages, want 6: %v", len(totals), totals)
+	}
+	computed, refused := stats.Computed.Load(), stats.Refused.Load()
+	if computed != uint64(planned) || st.RemoteShards != uint64(planned) || refused != 0 {
+		t.Fatalf("worker computed %d shards (refused %d) for %d dispatched of %d planned; want one computation per planned shard",
+			computed, refused, st.RemoteShards, planned)
+	}
+}
+
+// rewriteJobs starts a proxy in front of the coordinator at upstream
+// that relays every frame untouched except Job frames, which it
+// rewrites with edit — a coordinator whose plan disagrees with the
+// worker's.
+func rewriteJobs(t *testing.T, upstream string, edit func(*sweep.Job)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write(sweep.EncodeMessage(&sweep.Hello{})); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err := sweep.ReadFrame(conn)
-	if err != nil || typ != sweep.MsgWelcome {
-		t.Fatalf("handshake got %v, %v; want welcome", typ, err)
-	}
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
-			typ, payload, err := sweep.ReadFrame(conn)
+			down, err := ln.Accept()
 			if err != nil {
-				if sweep.IsFatalFrameError(err) || !isFrameError(err) {
-					return
+				return
+			}
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			go func() {
+				io.Copy(up, down)
+				up.Close()
+			}()
+			go func() {
+				defer down.Close()
+				for {
+					raw, err := sweep.ReadRawFrame(up)
+					if err != nil {
+						return
+					}
+					if typ, payload, _, err := sweep.ParseFrame(raw); err == nil && typ == sweep.MsgJob {
+						if m, err := sweep.DecodeMessage(typ, payload); err == nil {
+							edit(m.(*sweep.Job))
+							raw = sweep.EncodeMessage(m)
+						}
+					}
+					if _, err := down.Write(raw); err != nil {
+						return
+					}
 				}
-				continue
-			}
-			m, err := sweep.DecodeMessage(typ, payload)
-			if err != nil {
-				continue
-			}
-			if j, ok := m.(*sweep.Job); ok {
-				conn.Write(sweep.EncodeMessage(&sweep.JobError{ID: j.ID, Msg: "synthetic failure"}))
-			}
+			}()
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	got := distributedJSON(t, c, "fig5")
-	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
-		t.Fatal("output diverged after JobError degradation")
+// TestWorkerRefusesPlanMismatch: a real worker sent a job whose shard
+// count disagrees with its own plan, or whose tag names no stage of it,
+// answers with a JobError instead of computing a shard of the wrong
+// partition. The coordinator poisons that stage to local compute, the
+// other stage still distributes, and the campaign matches the local
+// result byte for byte.
+func TestWorkerRefusesPlanMismatch(t *testing.T) {
+	edits := map[string]func(*sweep.Job){
+		"shard count":   func(j *sweep.Job) { j.Shards++ },
+		"unknown stage": func(j *sweep.Job) { j.Tag += "-nope" },
 	}
-	st := c.Stats()
+	for name, edit := range edits {
+		t.Run(name, func(t *testing.T) {
+			c := startCoordinator(t)
+			addr := rewriteJobs(t, c.Addr().String(), func(j *sweep.Job) {
+				if j.Tag == "fig7/knn" {
+					edit(j)
+				}
+			})
+			stats := startObservedWorker(t, addr)
+			awaitWorkers(t, c, 1)
+			st := matchLocal(t, c, "fig7", withParams(fig7E2EParams))
+			if st.JobErrors == 0 || st.LocalShards == 0 || st.RemoteShards == 0 {
+				t.Fatalf("want the knn stage refused and run locally, elasticnet remote: %+v", st)
+			}
+			if stats.Refused.Load() == 0 || stats.Computed.Load() != st.RemoteShards {
+				t.Fatalf("worker computed %d, refused %d: want refusals, and computations only for the %d shards it returned",
+					stats.Computed.Load(), stats.Refused.Load(), st.RemoteShards)
+			}
+		})
+	}
+}
+
+// panicStage is a registered one-stage experiment whose first shard
+// computation in the process panics: it stands in for a hostile param
+// no check catches, reaching a worker.
+type panicStage struct{}
+
+var panicsLeft atomic.Int32
+
+func (panicStage) Name() string       { return "panic-stage" }
+func (panicStage) DefaultParams() any { return &struct{}{} }
+func (e panicStage) Run(ctx context.Context, r *exp.Runner) (*exp.Result, error) {
+	return exp.RunPlan(ctx, e, r)
+}
+
+func (e panicStage) Plan(*exp.Runner) (*exp.Plan, error) {
+	var res *exp.Result
+	st := mc.NewStage(e.Name(), 1, 4, 1, nil,
+		func(_ context.Context, _ struct{}, k int, _ *rand.Rand) int {
+			if panicsLeft.Add(-1) >= 0 {
+				panic("synthetic shard panic")
+			}
+			return k
+		},
+		func(_ struct{}, out []int) error {
+			res = &exp.Result{Experiment: e.Name(), Params: out}
+			return nil
+		})
+	return &exp.Plan{Stages: []mc.Stage{st}, Result: func() (*exp.Result, error) { return res, nil }}, nil
+}
+
+func init() { exp.Register(panicStage{}) }
+
+// TestWorkerSurvivesShardPanic: a shard that panics on the worker fails
+// only that job — answered with a JobError carrying the panic — and the
+// worker process lives on; the coordinator computes the stage locally.
+func TestWorkerSurvivesShardPanic(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	cfg := testConfig(t)
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	c := startCoordinatorWith(t, cfg)
+	stats := startObservedWorker(t, c.Addr().String())
+	awaitWorkers(t, c, 1)
+
+	panicsLeft.Store(1)
+	matchLocal(t, c, "panic-stage", testRunner)
+	if stats.Refused.Load() == 0 {
+		t.Fatal("worker did not refuse the panicking shard")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "panicked: synthetic shard panic") {
+			return
+		}
+	}
+	t.Fatalf("no JobError carried the panic; coordinator log:\n%s", strings.Join(logs, "\n"))
+}
+
+// TestJobErrorPoisonsTagToLocal: a real worker sent jobs its plan
+// does not declare fails every one of them, which drives the JobError →
+// poisoned tag → local-compute degradation end to end. The campaign
+// must still finish bit-identically, with zero remote shards merged.
+func TestJobErrorPoisonsTagToLocal(t *testing.T) {
+	c := startCoordinator(t)
+	startWorker(t, rewriteJobs(t, c.Addr().String(), func(j *sweep.Job) { j.Tag += "-nope" }))
+	awaitWorkers(t, c, 1)
+
+	st := matchLocal(t, c, "fig5", testRunner)
 	if st.JobErrors == 0 || st.LocalShards == 0 {
 		t.Fatalf("expected JobError-driven local degradation: %+v", st)
 	}
 	if st.RemoteShards != 0 {
 		t.Fatalf("a worker that failed every job cannot have produced results: %+v", st)
 	}
-}
-
-func isFrameError(err error) bool {
-	var fe *sweep.FrameError
-	return errors.As(err, &fe)
 }
 
 // TestWorkerLegacyHelloFallback: a coordinator that predates frame

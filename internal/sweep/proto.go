@@ -177,8 +177,8 @@ const (
 
 // Job assigns one shard of a campaign to a worker. Experiment and the
 // runner knobs (Seed, Quick, Workers, Accum, Bins, Params) let the worker
-// replay the exact campaign; Tag names the engine run within it and
-// Shard/Shards pin the one shard to compute. Shards carries the
+// rebuild the campaign's exact stage plan; Tag names the stage within it
+// and Shard/Shards pin the one shard to compute. Shards carries the
 // coordinator's resolved count so a worker whose own plan would differ
 // (machine-dependent defaults) refuses the job instead of returning a
 // shard of a different partition.

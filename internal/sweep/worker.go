@@ -8,12 +8,14 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"faultmem/internal/exp"
 	"faultmem/internal/mc"
+	"faultmem/internal/workload"
 )
 
 // WorkerConfig tunes a worker's liveness clocks. The zero value selects
@@ -39,6 +41,19 @@ type WorkerConfig struct {
 	AuthToken string
 	// Logf, when non-nil, receives one line per connection event.
 	Logf func(format string, args ...any)
+	// Stats, when non-nil, receives the worker's counters.
+	Stats *WorkerStats
+}
+
+// WorkerStats counts what a worker did with the jobs it was sent;
+// RunWorker updates it atomically while it runs.
+type WorkerStats struct {
+	// Computed counts shard computations started: one per job whose
+	// stage the worker's plan declares, and never any other shard.
+	Computed atomic.Uint64
+	// Refused counts jobs answered with a JobError (unknown stage, plan
+	// mismatch, failed prepare, unencodable shard, panic).
+	Refused atomic.Uint64
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -58,13 +73,17 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.ReconnectMax = c.ReconnectMin
 	}
 	c.LocalWorkers = mc.Workers(c.LocalWorkers)
+	if c.Stats == nil {
+		c.Stats = &WorkerStats{}
+	}
 	return c
 }
 
-// worker is the client side of the sweep protocol: it computes assigned
-// shards by replaying their campaign, survives coordinator restarts and
-// network churn by reconnecting with backoff and resuming its session,
-// and buffers results computed while disconnected for redelivery.
+// worker is the client side of the sweep protocol: it computes each
+// assigned shard alone from its campaign's declared plan, survives
+// coordinator restarts and network churn by reconnecting with backoff
+// and resuming its session, and buffers results computed while
+// disconnected for redelivery.
 type worker struct {
 	cfg WorkerConfig
 
@@ -96,10 +115,15 @@ type worker struct {
 // jittered exponential backoff, resumes its session by token, and
 // re-delivers any results it computed while disconnected.
 func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
+	// Every job rebuilds its stage, and a stage prepares its workload
+	// instance on first use: the process-wide cache makes that a lookup
+	// for every job after the first of each campaign.
+	workload.EnableInstanceCache(0)
+	cfg = cfg.withDefaults()
 	w := &worker{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		inflight: map[uint64]context.CancelFunc{},
-		sem:      make(chan struct{}, cfg.withDefaults().LocalWorkers),
+		sem:      make(chan struct{}, cfg.LocalWorkers),
 	}
 	defer w.wg.Wait()
 	defer w.cancelJobs(nil)
@@ -410,29 +434,38 @@ func (w *worker) cancelJobs(ids []uint64) {
 	w.mu.Unlock()
 }
 
-// computeJob replays the job's campaign for its one shard and packages
-// the outcome. A nil return means the job was cancelled and nobody wants
-// the answer.
-func (w *worker) computeJob(ctx context.Context, jm *Job) Message {
-	data, err := w.replayShard(ctx, jm)
+// computeJob computes the job's one shard and packages the outcome. A
+// nil return means the job was cancelled and nobody wants the answer. A
+// panic in the shard (hostile params the checks missed, say) fails only
+// this job: it is answered with a JobError carrying the stack, and the
+// coordinator computes that engine run on its own side.
+func (w *worker) computeJob(ctx context.Context, jm *Job) (reply Message) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.cfg.Stats.Refused.Add(1)
+			reply = &JobError{ID: jm.ID, Msg: fmt.Sprintf("sweep worker: shard %d of %q panicked: %v\n%s", jm.Shard, jm.Tag, p, debug.Stack())}
+		}
+	}()
+	data, err := w.computeShard(ctx, jm)
 	if ctx.Err() != nil {
 		return nil
 	}
 	if err != nil {
+		w.cfg.Stats.Refused.Add(1)
 		return &JobError{ID: jm.ID, Msg: err.Error()}
 	}
 	return &Result{ID: jm.ID, Shard: jm.Shard, Data: data}
 }
 
-// replayShard is the capture half of the distribution model: re-run the
-// campaign the job describes — same experiment, seed, budget tier, and
-// parameter overrides, so every engine plan matches the coordinator's —
-// with an executor that skips every shard except the requested one,
-// computes that one, captures its encoding, and aborts the rest of the
-// replay. Engine runs of the campaign other than the job's (earlier
-// stages of a multi-stage experiment) run in full, because later stages
-// may depend on their results; runs after the capture are cancelled away.
-func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
+// computeShard builds the job's campaign plan — same experiment, seed,
+// budget tier and parameter overrides as the coordinator's, so the two
+// plans agree — finds the job's stage by tag and computes that one
+// shard. No other shard or stage runs: stages are independent, and the
+// stage prepares its own inputs (memoized across jobs by the process
+// instance cache). A stage the plan does not declare, or one whose
+// shard count differs from the job's, is refused: the shard index would
+// name a different slice of work.
+func (w *worker) computeShard(ctx context.Context, jm *Job) ([]byte, error) {
 	r := &exp.Runner{
 		Workers: jm.Workers,
 		Quick:   jm.Quick,
@@ -446,81 +479,20 @@ func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
 	if len(jm.Params) > 0 {
 		r.Params = json.RawMessage(jm.Params)
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var mu sync.Mutex
-	var captured []byte
-	var capErr error
-	r.Exec = func(sj mc.ShardJob) (any, error) {
-		if sj.Tag != jm.Tag {
-			// A different engine run of the same campaign — typically an
-			// earlier stage whose results feed the one we were asked for.
-			// Compute it fully (gated by the worker's parallelism cap).
-			select {
-			case w.sem <- struct{}{}:
-			case <-sj.Ctx.Done():
-				return nil, sj.Ctx.Err()
-			}
-			defer func() { <-w.sem }()
-			return sj.Run(), nil
-		}
-		if sj.Shards != jm.Shards {
-			// The local plan disagrees with the coordinator's: shard
-			// indices would mean different slices of work. Refuse rather
-			// than return a shard of the wrong partition.
-			err := fmt.Errorf("sweep worker: plan mismatch for %q: job wants shard %d of %d, local plan has %d shards",
-				jm.Tag, jm.Shard, jm.Shards, sj.Shards)
-			mu.Lock()
-			if capErr == nil {
-				capErr = err
-			}
-			mu.Unlock()
-			cancel()
-			return nil, err
-		}
-		if sj.Shard != jm.Shard {
-			return nil, mc.ErrShardSkipped
-		}
-		select {
-		case w.sem <- struct{}{}:
-		case <-sj.Ctx.Done():
-			return nil, sj.Ctx.Err()
-		}
-		v := func() any {
-			defer func() { <-w.sem }()
-			return sj.Run()
-		}()
-		b, err := sj.Encode(v)
-		mu.Lock()
-		if err != nil {
-			if capErr == nil {
-				capErr = err
-			}
-		} else {
-			captured = b
-		}
-		mu.Unlock()
-		// The requested shard is in hand (or provably unshippable):
-		// abort the rest of the replay instead of computing shards nobody
-		// asked for.
-		cancel()
-		return v, err
+	st, err := exp.PlanStage(jm.Experiment, r, jm.Tag)
+	if err != nil {
+		return nil, fmt.Errorf("sweep worker: %w", err)
 	}
-	_, runErr := exp.Run(runCtx, jm.Experiment, r)
-	mu.Lock()
-	defer mu.Unlock()
-	if capErr != nil {
-		return nil, capErr
+	if st.Shards != jm.Shards {
+		return nil, fmt.Errorf("sweep worker: plan mismatch for %q: job wants shard %d of %d, local plan has %d shards",
+			jm.Tag, jm.Shard, jm.Shards, st.Shards)
 	}
-	// Success requires the capture AND a live job context: a cancelled
-	// replay can surface as a zero-value result from experiments that
-	// swallow inner context errors, and those bits must never be merged.
-	if captured != nil && ctx.Err() == nil {
-		return captured, nil
+	select {
+	case w.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	if runErr == nil {
-		return nil, fmt.Errorf("sweep worker: replay of %s finished without reaching shard %d of run %q",
-			jm.Experiment, jm.Shard, jm.Tag)
-	}
-	return nil, runErr
+	defer func() { <-w.sem }()
+	w.cfg.Stats.Computed.Add(1)
+	return st.Compute(ctx, jm.Shard)
 }

@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -211,17 +212,53 @@ func MSECDFAll(p CDFParams, schemes []Scheme) []CDFResult {
 // results when it is cancelled or deadlined mid-flight. Cancellation is
 // polled between shards by the engine and every few thousand samples
 // inside each shard, so even single-shard budgets return promptly. The
-// environment's OnShard callback sees each completed shard.
+// environment's OnShard callback sees each completed shard. Invalid
+// params are an error, never a panic.
 func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error) {
-	if p.Rows <= 0 || p.Width <= 0 || p.Width > 64 || p.Trun <= 0 {
-		panic(fmt.Sprintf("yield: bad CDF params %+v", p))
+	var results []CDFResult
+	st, err := MSECDFStage(env.Tag, p, schemes, func(rs []CDFResult) error {
+		results = rs
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Run(env); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// Validate reports params the campaign cannot run: a degenerate memory,
+// a non-positive or non-finite budget, a probability outside [0, 1), or
+// a negative count.
+func (p CDFParams) Validate() error {
+	switch {
+	case p.Rows <= 0 || p.Width <= 0 || p.Width > 64:
+		return fmt.Errorf("yield: bad CDF memory %d x %d (want rows > 0, width 1..64)", p.Rows, p.Width)
+	case !(p.Trun > 0) || math.IsInf(p.Trun, 0):
+		return fmt.Errorf("yield: bad CDF budget Trun=%g (want finite > 0)", p.Trun)
+	case !(p.Pcell >= 0 && p.Pcell < 1):
+		return fmt.Errorf("yield: bad CDF Pcell=%g (want [0, 1))", p.Pcell)
+	case p.MaxPerCount < 0 || p.MaxFailures < 0 || p.Shards < 0 || p.Bins < 0:
+		return fmt.Errorf("yield: negative CDF count in %+v", p)
+	}
+	return nil
+}
+
+// MSECDFStage declares the MSECDFAll campaign as one engine stage tagged
+// tag: done receives the per-scheme results once every shard has merged.
+// The params are validated up front, so a bad budget is an error before
+// any shard runs.
+func MSECDFStage(tag string, p CDFParams, schemes []Scheme, done func([]CDFResult) error) (mc.Stage, error) {
+	if err := p.Validate(); err != nil {
+		return mc.Stage{}, err
 	}
 	if len(schemes) == 0 {
-		panic("yield: no schemes")
+		return mc.Stage{}, fmt.Errorf("yield: no schemes")
 	}
 	plans, total, nmax := p.plan()
 	spans := mc.Split(total, p.Shards)
-	cancel := env.Done()
 
 	// Accumulator factory: exact retention for small budgets (and as the
 	// test oracle), the fixed-bin log-histogram above the auto threshold
@@ -236,13 +273,14 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		return c
 	}
 
-	outs, err := mc.RunEnv(env, p.Workers, len(spans), p.Seed, func(shard int, rng *rand.Rand) []stats.Accumulator {
-		span := spans[shard]
+	shard := func(ctx context.Context, _ struct{}, k int, rng *rand.Rand) []stats.Accumulator {
+		span := spans[k]
 		accs := make([]stats.Accumulator, len(schemes))
 		for j := range accs {
 			accs[j] = newAcc(span.End - span.Start)
 		}
 		sampler := NewRowSampler(p.Rows, p.Width)
+		cancel := ctx.Done()
 		// Locate the span's first (count, sample) pair, then stream
 		// through the count-major global order. Everything below Add is
 		// allocation-free: the sampler reuses its masks and each
@@ -274,28 +312,29 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 			off++
 		}
 		return accs
-	})
-	if err != nil {
-		return nil, err
 	}
 
-	p0 := stats.BinomialPMF(p.Cells(), p.Pcell, 0)
-	results := make([]CDFResult, len(schemes))
-	for j, s := range schemes {
-		acc := newAcc(total)
-		for _, shard := range outs {
-			acc.Merge(shard[j])
+	merge := func(_ struct{}, outs [][]stats.Accumulator) error {
+		p0 := stats.BinomialPMF(p.Cells(), p.Pcell, 0)
+		results := make([]CDFResult, len(schemes))
+		for j, s := range schemes {
+			acc := newAcc(total)
+			for _, shard := range outs {
+				acc.Merge(shard[j])
+			}
+			results[j] = CDFResult{
+				Scheme:           s.Name(),
+				CDF:              acc,
+				Histogram:        useHist,
+				PZeroFailures:    p0,
+				Samples:          total,
+				MaxFailuresSwept: nmax,
+			}
 		}
-		results[j] = CDFResult{
-			Scheme:           s.Name(),
-			CDF:              acc,
-			Histogram:        useHist,
-			PZeroFailures:    p0,
-			Samples:          total,
-			MaxFailuresSwept: nmax,
-		}
+		return done(results)
 	}
-	return results, nil
+
+	return mc.NewStage(tag, p.Workers, len(spans), p.Seed, nil, shard, merge), nil
 }
 
 // MSECDF runs the Fig. 5 Monte Carlo for one scheme: for every failure

@@ -34,6 +34,10 @@ type SweepConfig = sweep.Config
 // selects production defaults.
 type SweepWorkerConfig = sweep.WorkerConfig
 
+// SweepWorkerStats counts a worker's shard computations and refusals;
+// point SweepWorkerConfig.Stats at one to observe a running worker.
+type SweepWorkerStats = sweep.WorkerStats
+
 // SweepStats are the coordinator's cumulative robustness counters:
 // where shards ran, how many leases expired, how many corrupt frames and
 // duplicate results were absorbed, and how the worker pool churned.
