@@ -34,8 +34,9 @@ func main() {
 	// 2. Run the campaign: the CG solve at a reduced geometry, all three
 	// policies, with soft errors enabled so the retry policy has
 	// transient corruption to recover. Every policy sees the identical
-	// die and soft-error draws, so a quality delta between columns can
-	// only come from recovery itself.
+	// dies, and the identical soft errors up to its first re-read (a
+	// re-read draws from the same trial stream), so the codeless arms'
+	// columns match exactly and the SECDED columns differ by recovery.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	runner := &faultmem.Runner{

@@ -13,7 +13,10 @@ import (
 // workload run through all eight protection arms once per recovery
 // policy, on common random numbers — the same (seed, trial) stream
 // drives every policy's dies and soft errors, so quality deltas between
-// policies are paired, not sampled.
+// policies are paired, not sampled. The pairing is exact for the dies
+// and for the codeless arms' soft errors; re-reads draw soft errors from
+// the same trial stream, so after a policy's first re-read the soft
+// errors of that arm and of every later arm differ between policies.
 type RecoveryParams struct {
 	// Workload is the canonical workload name (default "cgsolve").
 	Workload string
@@ -134,8 +137,8 @@ func Recovery(p RecoveryParams) (RecoveryResult, error) {
 // RecoveryEnv is Recovery under an execution environment: the selected
 // workload is prepared once, then the quality engine runs it through
 // all eight protection arms once per policy. Every policy sees the
-// identical die and soft-error sequence (common random numbers), so a
-// policy can only move a trial's quality through recovery itself.
+// identical dies (common random numbers) and, up to its first re-read,
+// the identical soft-error sequence (see RecoveryParams).
 func RecoveryEnv(env mc.Env, p RecoveryParams) (RecoveryResult, error) {
 	var res RecoveryResult
 	stages, err := p.stages("recovery", &res)
@@ -156,10 +159,10 @@ func RecoveryEnv(env mc.Env, p RecoveryParams) (RecoveryResult, error) {
 // description and appends that policy's run. The instance is prepared
 // lazily by whichever host computes the stage's shards.
 func (p RecoveryParams) stages(experiment string, res *RecoveryResult) ([]mc.Stage, error) {
-	if p.Trials < 1 || p.Rows < 1 || p.Pcell <= 0 || p.Pcell >= 1 {
+	if p.Trials < 1 || p.Rows < 1 || !(p.Pcell > 0 && p.Pcell < 1) {
 		return nil, fmt.Errorf("exp: bad recovery params %+v", p)
 	}
-	if p.TransientRate < 0 || p.TransientRate >= 1 {
+	if !(p.TransientRate >= 0 && p.TransientRate < 1) {
 		return nil, fmt.Errorf("exp: recovery transient rate %g outside [0, 1)", p.TransientRate)
 	}
 	if p.Retries < 0 || p.SafeWords < 0 {

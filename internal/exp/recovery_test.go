@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"faultmem/internal/workload"
@@ -29,6 +30,8 @@ func TestRecoveryParamsValidation(t *testing.T) {
 		"zero trials":      func(p *RecoveryParams) { p.Trials = 0 },
 		"bad pcell":        func(p *RecoveryParams) { p.Pcell = 1 },
 		"bad transient":    func(p *RecoveryParams) { p.TransientRate = 1 },
+		"NaN pcell":        func(p *RecoveryParams) { p.Pcell = math.NaN() },
+		"NaN transient":    func(p *RecoveryParams) { p.TransientRate = math.NaN() },
 		"negative retries": func(p *RecoveryParams) { p.Retries = -1 },
 		"negative budget":  func(p *RecoveryParams) { p.SafeWords = -2 },
 		"unknown workload": func(p *RecoveryParams) { p.Workload = "bogus" },
@@ -167,6 +170,53 @@ func TestRecoveryRetryRecoversTransients(t *testing.T) {
 	}
 	if recovered == 0 {
 		t.Error("retries recovered nothing")
+	}
+}
+
+// TestRecoveryTransientWorkerInvariant pins the determinism contract
+// with soft errors on: every policy's qualities and recovery counters
+// are bit-identical at any worker count, so the soft-error countdown
+// never leaks across trials or shards.
+func TestRecoveryTransientWorkerInvariant(t *testing.T) {
+	p := recoveryTestParams()
+	p.Policies = nil
+	p.TransientRate = 2e-3
+	run := func(workers int) RecoveryResult {
+		q := p
+		q.Workers = workers
+		out, err := Recovery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run(1)
+	if len(want.Runs) != len(workload.PolicyNames()) {
+		t.Fatalf("%d runs", len(want.Runs))
+	}
+	var flagged uint64
+	for _, s := range want.Runs[1].Stats {
+		flagged += s.Flagged
+	}
+	if flagged == 0 {
+		t.Fatal("soft errors flagged nothing — the test exercises no recovery")
+	}
+	for _, workers := range []int{4, 7} {
+		got := run(workers)
+		for pi, w := range want.Runs {
+			g := got.Runs[pi]
+			if g.Policy != w.Policy || !reflect.DeepEqual(g.Stats, w.Stats) {
+				t.Fatalf("workers=%d policy %s: stats %+v, want %+v", workers, w.Policy, g.Stats, w.Stats)
+			}
+			for ai := range w.Arms {
+				for qi, wq := range w.Arms[ai].Qualities {
+					if gq := g.Arms[ai].Qualities[qi]; math.Float64bits(gq) != math.Float64bits(wq) {
+						t.Fatalf("workers=%d policy %s arm %v sample %d: %v, want %v (bit-identical)",
+							workers, w.Policy, w.Arms[ai].Scheme, qi, gq, wq)
+					}
+				}
+			}
+		}
 	}
 }
 

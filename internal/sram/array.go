@@ -34,8 +34,11 @@ type Array struct {
 	sa1         []uint64 // per-row mask of cells stuck at 1
 	faults      fault.Map
 
-	transientRate float64 // per-cell soft-error probability per read
-	transientRNG  *rand.Rand
+	// Soft errors (see SetTransient): λ = −ln(1−rate), 0 when disabled,
+	// and the clean cell-reads left before the next flip.
+	transientLambda float64
+	transientGap    int64
+	transientRNG    *rand.Rand
 
 	// couplings holds CFid faults bucketed by aggressor row for the
 	// write path.
@@ -183,7 +186,13 @@ func (a *Array) Read(r int) uint64 {
 		panic(fmt.Sprintf("sram: read row %d out of %d", r, a.rows))
 	}
 	a.reads++
-	return (a.data[r] ^ a.flip[r] ^ a.transientMask()) & bits.Mask(a.width)
+	v := (a.data[r] ^ a.flip[r]) & bits.Mask(a.width)
+	if a.transientLambda > 0 {
+		w := [1]uint64{v}
+		a.softErrors(w[:])
+		v = w[0]
+	}
+	return v
 }
 
 // Peek returns the stored word of row r without fault application or

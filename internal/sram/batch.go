@@ -34,18 +34,13 @@ func (a *Array) WriteBatch(r int, vals []uint64) {
 
 // ReadBatch reads rows r+i into out[i] for every element, semantically
 // identical to calling Read per row in ascending order: the same flip
-// masks and access accounting. Arrays with transient soft errors enabled
-// fall back to the scalar path so the per-read RNG draw order — and thus
-// every downstream sample — is preserved exactly.
+// masks and access accounting. With transient soft errors enabled, the
+// sparse flips are applied after the masked copy, consuming the
+// soft-error countdown (see SetTransient) in the same row order the
+// scalar path would, so every downstream sample is bit-identical.
 func (a *Array) ReadBatch(r int, out []uint64) {
 	if r < 0 || len(out) > a.rows-r {
 		panic(fmt.Sprintf("sram: read batch [%d,%d) out of %d", r, r+len(out), a.rows))
-	}
-	if a.transientRate > 0 {
-		for i := range out {
-			out[i] = a.Read(r + i)
-		}
-		return
 	}
 	a.reads += uint64(len(out))
 	m := bits.Mask(a.width)
@@ -53,5 +48,8 @@ func (a *Array) ReadBatch(r int, out []uint64) {
 	flip := a.flip[r : r+len(out)]
 	for i := range out {
 		out[i] = (data[i] ^ flip[i]) & m
+	}
+	if a.transientLambda > 0 {
+		a.softErrors(out)
 	}
 }

@@ -2,13 +2,27 @@ package sram
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
+
+// maxTransientGap caps a drawn soft-error gap before its integer
+// conversion. At rates so low that the gap overflows, a countdown of
+// 2^62 cell-reads is indistinguishable from "never".
+const maxTransientGap = 1 << 62
 
 // SetTransient enables per-read transient bit flips (soft errors):
 // independently of the persistent fault map, every cell of a word being
 // read flips with probability rate. A rate of 0 (the default) disables
 // the mechanism.
+//
+// The flips are sampled sparsely: the array keeps a countdown of clean
+// cell-reads left before the next soft error, consumed cell by cell
+// (bit 0 first) and read by read in access order. Each gap is drawn as
+// floor(E/λ) with E ~ Exp(1) and λ = −ln(1−rate), which is exactly
+// Geometric(rate) — the same law as one Bernoulli(rate) draw per cell per
+// read, at one RNG draw per flip instead of one per cell. SetTransient
+// restarts the countdown from rng.
 //
 // Transient faults are *not* part of the paper's model — its BIST-driven
 // FM-LUT can only target persistent fault locations — but the extension
@@ -17,26 +31,39 @@ import (
 // reduce its magnitude (the flip lands on a random logical bit either
 // way).
 func (a *Array) SetTransient(rate float64, rng *rand.Rand) {
-	if rate < 0 || rate >= 1 {
+	if !(rate >= 0 && rate < 1) {
 		panic(fmt.Sprintf("sram: transient rate %g outside [0,1)", rate))
 	}
 	if rate > 0 && rng == nil {
 		panic("sram: transient faults need an RNG")
 	}
-	a.transientRate = rate
+	a.transientLambda = -math.Log1p(-rate)
 	a.transientRNG = rng
+	if rate > 0 {
+		a.transientGap = a.transientDraw()
+	}
 }
 
-// transientMask draws the soft-error flip mask for one read.
-func (a *Array) transientMask() uint64 {
-	if a.transientRate == 0 {
-		return 0
+// transientDraw returns the number of clean cell-reads before the next
+// soft error: Geometric(rate) via the floor of an exponential variate.
+func (a *Array) transientDraw() int64 {
+	g := a.transientRNG.ExpFloat64() / a.transientLambda
+	if g >= maxTransientGap {
+		return maxTransientGap
 	}
-	var mask uint64
-	for b := 0; b < a.width; b++ {
-		if a.transientRNG.Float64() < a.transientRate {
-			mask |= uint64(1) << uint(b)
-		}
+	return int64(g)
+}
+
+// softErrors applies the pending soft errors to words, the values of
+// consecutive reads in access order, consuming the countdown across
+// them. Callers check transientLambda > 0 first.
+func (a *Array) softErrors(words []uint64) {
+	w := int64(a.width)
+	total := w * int64(len(words))
+	pos := a.transientGap
+	for pos < total {
+		words[pos/w] ^= uint64(1) << uint(pos%w)
+		pos += 1 + a.transientDraw()
 	}
-	return mask
+	a.transientGap = pos - total
 }
