@@ -329,6 +329,14 @@ type LUTParams struct {
 // DefaultLUTParams uses the 16 KB macro.
 func DefaultLUTParams() LUTParams { return LUTParams{Rows: 4096} }
 
+// Validate rejects an empty macro.
+func (p LUTParams) Validate() error {
+	if p.Rows < 1 {
+		return fmt.Errorf("exp: FM-LUT ablation needs Rows >= 1, got %d", p.Rows)
+	}
+	return nil
+}
+
 // multiFaultExperiment adapts the FM-LUT policy study to the registry.
 type multiFaultExperiment struct{}
 

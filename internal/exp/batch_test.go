@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"faultmem/internal/dataset"
@@ -244,42 +247,87 @@ func batchTestDataset() (*mat.Dense, []float64) {
 	return x, y
 }
 
-// TestRoundTripCachedMatchesUncachedPerArm pins the three-tier dispatch
-// end to end: the cached round trip (image or batch path, depending on
-// the arm) must be float-bit identical to the word-at-a-time
-// RoundTripDatasetInto on every protection arm, across page boundaries.
-func TestRoundTripCachedMatchesUncachedPerArm(t *testing.T) {
+// scalarOnly hides the batch and image interfaces of the memory it
+// wraps, so memstore's Trip takes its word-at-a-time loop: the oracle
+// the fast paths must match bit for bit. Checked reads still reach the
+// wrapped memory's detector, one word at a time.
+type scalarOnly struct{ mem.Word32 }
+
+func (s scalarOnly) ReadChecked(addr int) (uint32, bool) {
+	return s.Word32.(mem.Detector).ReadChecked(addr)
+}
+
+func (s scalarOnly) ReadBatchChecked(int, []uint32, *mem.DUESet, int) {
+	panic("scalarOnly: batch read on the scalar oracle")
+}
+
+// TestTripMatchesScalarOraclePerArm pins the three-tier dispatch of
+// memstore's Trip end to end: the fast path (image or batch, depending
+// on the arm) must be float-bit identical to the word-at-a-time oracle
+// on every protection arm, across page boundaries — for flat values and
+// datasets, plain and checked (bounded retries plus safe-memory
+// restore), with transient soft errors drawing from same-seeded twins.
+func TestTripMatchesScalarOraclePerArm(t *testing.T) {
 	const memRows = 64 // < dataset words, so the trip pages
 	x, y := batchTestDataset()
 	codec := memstore.DefaultCodec()
 	fm := mixedFaultMap(memRows)
+	for r := 0; r < memRows; r += 8 { // persistent DUEs for the restore
+		fm = append(fm, fault.Fault{Row: r, Col: (r*11 + 5) % 32, Kind: fault.Flip})
+	}
+	var vals []float64 // 150 words: two full pages and a partial one
+	for i := 0; len(vals) < 150; i++ {
+		vals = append(vals, x.RawRow(i)...)
+	}
+	vals = vals[:150]
+	var acted memstore.RecoveryStats
 	for _, arm := range AllProtections() {
-		m, err := arm.Build(memRows, fm)
-		if err != nil {
-			t.Fatalf("%v: build: %v", arm, err)
-		}
-		var wsScalar, wsCached memstore.Workspace
-		xs, ys := codec.RoundTripDatasetInto(&wsScalar, m, x, y)
-		codec.EncodeDatasetInto(&wsCached, x, y)
-		xc, yc := codec.RoundTripCachedInto(&wsCached, m)
-
-		r, c := xs.Dims()
-		if rc, cc := xc.Dims(); rc != r || cc != c {
-			t.Fatalf("%v: cached shape %dx%d vs %dx%d", arm, rc, cc, r, c)
-		}
-		for i := 0; i < r; i++ {
-			rowS, rowC := xs.RawRow(i), xc.RawRow(i)
-			for j := range rowS {
-				if rowS[j] != rowC[j] {
-					t.Fatalf("%v: X[%d,%d] = %v scalar vs %v cached", arm, i, j, rowS[j], rowC[j])
+		for _, dataset := range []bool{false, true} {
+			for _, checked := range []bool{false, true} {
+				oracle, fast := twinMemories(t, arm, memRows, fm)
+				arrayOf(oracle).SetTransient(2e-3, stats.NewRand(17))
+				arrayOf(fast).SetTransient(2e-3, stats.NewRand(17))
+				var wsO, wsF memstore.Workspace
+				var recO, recF *memstore.Recovery
+				if checked {
+					recO = &memstore.Recovery{Retries: 2, Restore: true}
+					recF = &memstore.Recovery{Retries: 2, Restore: true}
+				}
+				if dataset {
+					codec.EncodeDatasetInto(&wsO, x, y)
+					codec.EncodeDatasetInto(&wsF, x, y)
+				} else {
+					codec.EncodeValuesInto(&wsO, vals)
+					codec.EncodeValuesInto(&wsF, vals)
+				}
+				name := fmt.Sprintf("%v dataset=%v checked=%v", arm, dataset, checked)
+				for trip := 0; trip < 2; trip++ { // cold, then warm image cache
+					want := codec.Trip(&wsO, scalarOnly{oracle}, recO)
+					got := codec.Trip(&wsF, fast, recF)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s trip %d: word %d = %v fast vs %v oracle", name, trip, i, got[i], want[i])
+						}
+					}
+					if dataset {
+						xo, yo := wsO.Dataset(want)
+						xf, yf := wsF.Dataset(got)
+						if !reflect.DeepEqual(xo, xf) || !reflect.DeepEqual(yo, yf) {
+							t.Fatalf("%s trip %d: reshaped datasets differ", name, trip)
+						}
+					}
+					if checked && (recO.Stats != recF.Stats || !reflect.DeepEqual(recO.DUE, recF.DUE)) {
+						t.Fatalf("%s trip %d: recovery %+v fast vs %+v oracle", name, trip, recF.Stats, recO.Stats)
+					}
+				}
+				if checked {
+					acted.Merge(recO.Stats)
 				}
 			}
 		}
-		for i := range ys {
-			if ys[i] != yc[i] {
-				t.Fatalf("%v: Y[%d] = %v scalar vs %v cached", arm, i, ys[i], yc[i])
-			}
-		}
+	}
+	if acted.Flagged == 0 || acted.Retries == 0 || acted.Restored == 0 {
+		t.Fatalf("recovery never acted (%+v): the checked comparison proves nothing", acted)
 	}
 }
 
@@ -302,11 +350,11 @@ func BenchmarkFig7RoundTrip(b *testing.B) {
 			}
 			var ws memstore.Workspace
 			codec.EncodeDatasetInto(&ws, train.X, train.Y)
-			codec.RoundTripCachedInto(&ws, m)
+			ws.Dataset(codec.Trip(&ws, m, nil))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				codec.RoundTripCachedInto(&ws, m)
+				ws.Dataset(codec.Trip(&ws, m, nil))
 			}
 		})
 	}
@@ -327,9 +375,9 @@ func TestRoundTripCachedWarmAllocs(t *testing.T) {
 		}
 		var ws memstore.Workspace
 		codec.EncodeDatasetInto(&ws, x, y)
-		codec.RoundTripCachedInto(&ws, m) // warm buffers + image cache
+		ws.Dataset(codec.Trip(&ws, m, nil)) // warm buffers + image cache
 		if allocs := testing.AllocsPerRun(10, func() {
-			codec.RoundTripCachedInto(&ws, m)
+			ws.Dataset(codec.Trip(&ws, m, nil))
 		}); allocs != 0 {
 			t.Errorf("%v: warm cached round trip allocates %v times, want 0", arm, allocs)
 		}

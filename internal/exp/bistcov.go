@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"faultmem/internal/bist"
+	"faultmem/internal/bits"
 	"faultmem/internal/fault"
 	"faultmem/internal/sram"
 	"faultmem/internal/stats"
@@ -27,6 +28,17 @@ type BISTCoverageParams struct {
 // DefaultBISTCoverageParams uses a small array so many trials stay fast.
 func DefaultBISTCoverageParams() BISTCoverageParams {
 	return BISTCoverageParams{Rows: 128, Width: 32, StaticFaults: 8, Couplings: 12, Trials: 40, Seed: 23}
+}
+
+// Validate rejects an array shape the faults do not fit in.
+func (p BISTCoverageParams) Validate() error {
+	cells := p.Rows * p.Width
+	if p.Rows < 1 || p.Width < 1 || p.Width > bits.MaxWidth || p.Trials < 1 ||
+		p.StaticFaults < 0 || p.StaticFaults > cells || p.Couplings < 0 || p.Couplings > cells-1 {
+		return fmt.Errorf("exp: bistcov needs Rows >= 1, Width in [1,%d], Trials >= 1 and fault counts that fit the array, got %+v",
+			bits.MaxWidth, p)
+	}
+	return nil
 }
 
 // BISTCoverageRow is one algorithm's measured coverage.

@@ -53,6 +53,15 @@ func DefaultEnergyParams() EnergyParams {
 	}
 }
 
+// Validate rejects a macro, die count or voltage sweep the study cannot
+// run.
+func (p EnergyParams) Validate() error {
+	if p.Rows < 1 || p.Dies < 1 || !(p.Step > 0) || p.VMax < p.VMin {
+		return fmt.Errorf("exp: energy study needs Rows >= 1, Dies >= 1, Step > 0 and VMax >= VMin, got %+v", p)
+	}
+	return nil
+}
+
 // EnergyRow is one scheme's outcome: the minimum viable supply voltage
 // and the resulting read energy (baseline array + scheme overhead,
 // scaled quadratically with VDD from the nominal characterization).
@@ -97,7 +106,7 @@ func (a energyArm) qualifies(s *yield.RowSampler, budget redund.Budget, target f
 func EnergyStudy(p EnergyParams) []EnergyRow {
 	rows, err := EnergyStudyEnv(mc.Env{}, p)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
+		// The zero Env's background context never cancels: p is invalid.
 		panic(err)
 	}
 	return rows
@@ -108,8 +117,8 @@ func EnergyStudy(p EnergyParams) []EnergyRow {
 // cancelled or deadlined mid-sweep. The environment's OnShard counts
 // completed voltage points (the sweep's outer unit of work).
 func EnergyStudyEnv(env mc.Env, p EnergyParams) ([]EnergyRow, error) {
-	if p.Dies < 1 || p.Step <= 0 || p.VMax < p.VMin {
-		panic(fmt.Sprintf("exp: bad energy params %+v", p))
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	lib := hw.Lib28nm()
 	macro := hw.Macro28nm(p.Rows)

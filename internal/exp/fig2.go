@@ -27,6 +27,14 @@ func DefaultFig2Params() Fig2Params {
 	return Fig2Params{VMin: 0.60, VMax: 1.00, Step: 0.02, ISDirections: 20000, MemoryBytes: 16 * 1024, Seed: 2}
 }
 
+// Validate rejects a sweep that would not terminate or is empty.
+func (p Fig2Params) Validate() error {
+	if !(p.Step > 0) || p.VMax < p.VMin {
+		return fmt.Errorf("exp: Fig2 sweep needs Step > 0 and VMax >= VMin, got %+v", p)
+	}
+	return nil
+}
+
 // Fig2Row is one sweep point: the analytic and importance-sampled cell
 // failure probabilities and the traditional zero-failure yield of the
 // memory.
@@ -42,7 +50,7 @@ type Fig2Row struct {
 func Fig2(p Fig2Params) []Fig2Row {
 	rows, err := Fig2Ctx(context.Background(), p)
 	if err != nil {
-		// Unreachable: the background context never cancels.
+		// The background context never cancels: p is invalid.
 		panic(err)
 	}
 	return rows
@@ -52,8 +60,8 @@ func Fig2(p Fig2Params) []Fig2Row {
 // points (each point pays one importance-sampling estimate). Results are
 // identical to Fig2 when the context stays live.
 func Fig2Ctx(ctx context.Context, p Fig2Params) ([]Fig2Row, error) {
-	if p.Step <= 0 || p.VMax < p.VMin {
-		panic(fmt.Sprintf("exp: bad Fig2 params %+v", p))
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	model := sram.Default28nm()
 	sixT := sram.NewSixT()

@@ -18,6 +18,14 @@ type Fig6Params struct {
 // DefaultFig6Params matches the paper's 16 KB macro.
 func DefaultFig6Params() Fig6Params { return Fig6Params{Rows: 4096} }
 
+// Validate rejects an empty macro.
+func (p Fig6Params) Validate() error {
+	if p.Rows < 1 {
+		return fmt.Errorf("exp: Fig6 needs Rows >= 1, got %d", p.Rows)
+	}
+	return nil
+}
+
 // Fig6Result bundles the relative table, the absolute overheads, and the
 // §5.1 savings summary.
 type Fig6Result struct {

@@ -195,8 +195,19 @@ func runAll(ctx context.Context, entries []entry, r *Runner, emit func(*Result) 
 // raw JSON unmarshalled over the defaults (the wire form of the sweep
 // service) — and the experiment's DefaultParams otherwise. JSON overrides
 // are strict: an unknown field (a typo like "trails" for "trials") fails
-// the run loudly instead of silently running the defaults.
+// the run loudly instead of silently running the defaults. Params types
+// with a Validate method are checked here, so a bad value fails the run
+// with an error before any engine code can panic on it.
 func runnerParams[T any](r *Runner, e Experiment) (T, error) {
+	p, err := decodeParams[T](r, e)
+	if v, ok := any(p).(interface{ Validate() error }); ok && err == nil {
+		err = v.Validate()
+	}
+	return p, err
+}
+
+// decodeParams is runnerParams before validation.
+func decodeParams[T any](r *Runner, e Experiment) (T, error) {
 	def := e.DefaultParams().(T)
 	if r == nil || r.Params == nil {
 		return def, nil

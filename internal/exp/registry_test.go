@@ -258,6 +258,34 @@ func TestRegistryJSONParamsOverride(t *testing.T) {
 	}
 }
 
+// TestRegistryRejectsBadParams: each override once crashed its run with
+// a Go panic; now it fails at param resolution with an error.
+func TestRegistryRejectsBadParams(t *testing.T) {
+	cases := []struct{ name, params string }{
+		{"fig2", `{"Step":0}`},
+		{"energy", `{"Step":0}`},
+		{"energy", `{"Dies":0}`},
+		{"energy", `{"Rows":-5}`},
+		{"bistcov", `{"Rows":0}`},
+		{"fig6", `{"Rows":0}`},
+		{"width", `{"Rows":0}`},
+		{"ablate-lut", `{"Rows":0}`},
+	}
+	for _, c := range cases {
+		t.Run(c.name+c.params, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("run panicked: %v", p)
+				}
+			}()
+			r := &Runner{Quick: true, Params: json.RawMessage(c.params)}
+			if res, err := Run(context.Background(), c.name, r); err == nil {
+				t.Fatalf("accepted, result %+v", res.Params)
+			}
+		})
+	}
+}
+
 func TestRegistryUnknownExperiment(t *testing.T) {
 	_, err := Run(context.Background(), "bogus", nil)
 	if err == nil {

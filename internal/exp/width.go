@@ -18,6 +18,14 @@ type WidthParams struct {
 // DefaultWidthParams uses the 16 KB macro depth.
 func DefaultWidthParams() WidthParams { return WidthParams{Rows: 4096} }
 
+// Validate rejects an empty macro.
+func (p WidthParams) Validate() error {
+	if p.Rows < 1 {
+		return fmt.Errorf("exp: width ablation needs Rows >= 1, got %d", p.Rows)
+	}
+	return nil
+}
+
 // WidthRow compares the bit-shuffling scheme against full SECDED at one
 // word width: the finest-granularity shuffle (nFM = log2 W) and the
 // half-word shuffle (nFM = 1) relative to the width's SECDED code.

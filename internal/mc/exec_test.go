@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -202,5 +203,54 @@ func TestStagePrepareErrorFailsRun(t *testing.T) {
 	}
 	if runs.Load() != 0 {
 		t.Fatalf("%d shards ran after a failed prepare", runs.Load())
+	}
+}
+
+// TestShardPanicFailsRun: a panicking shard fails its engine run with
+// the panic's value and stack instead of killing the process, on the
+// worker pool (one worker and four) and on the executor path (Run called
+// on the claiming goroutine or on the executor's own). With one worker,
+// no shard after the panicking one is claimed.
+func TestShardPanicFailsRun(t *testing.T) {
+	const shards, bad = 16, 3
+	var ran atomic.Int64
+	fn := func(shard int, rng *rand.Rand) execShard {
+		ran.Add(1)
+		if shard == bad {
+			panic("synthetic shard panic")
+		}
+		return execFn(shard, rng)
+	}
+	async := func(job ShardJob) (any, error) {
+		v := make(chan any)
+		go func() { v <- job.Run() }()
+		return <-v, nil
+	}
+	cases := []struct {
+		name    string
+		workers int
+		exec    ExecFunc
+	}{
+		{"workers=1", 1, nil},
+		{"workers=4", 4, nil},
+		{"exec", 4, func(job ShardJob) (any, error) { return job.Run(), nil }},
+		{"exec-async", 4, async},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ran.Store(0)
+			out, err := RunEnv(Env{Tag: "t", Exec: c.exec}, c.workers, shards, 42, fn)
+			if err == nil || out != nil {
+				t.Fatalf("panicking shard: out %v, err %v; want nil and an error", out, err)
+			}
+			for _, want := range []string{`shard 3 of "t" panicked`, "synthetic shard panic", "goroutine"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error lacks %q:\n%v", want, err)
+				}
+			}
+			if c.workers == 1 && ran.Load() != bad+1 {
+				t.Fatalf("one worker ran %d shards, want %d: shards were claimed after the panic", ran.Load(), bad+1)
+			}
+		})
 	}
 }

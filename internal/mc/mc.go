@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -99,7 +100,9 @@ type ShardJob struct {
 	Tag           string
 	Shard, Shards int
 	// Run computes the shard locally and returns its value (the engine's
-	// shard type T).
+	// shard type T). A panic in the shard fails the engine run with the
+	// panic's value and stack, and Run returns nil, on whichever goroutine
+	// the executor calls it.
 	Run func() any
 	// Encode serializes a value produced by Run for the wire; it fails
 	// when the shard type is not serializable, which executors should
@@ -125,8 +128,9 @@ type ExecFunc func(job ShardJob) (any, error)
 func Run[T any](workers, shards int, seed int64, fn func(shard int, rng *rand.Rand) T) []T {
 	out, err := RunEnv(Env{}, workers, shards, seed, fn)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
-		panic(fmt.Sprintf("mc: background run failed: %v", err))
+		// The zero Env's background context never cancels, so err is a
+		// shard panic: re-raise it on the caller's goroutine.
+		panic(err)
 	}
 	return out
 }
@@ -137,8 +141,11 @@ func Run[T any](workers, shards int, seed int64, fn func(shard int, rng *rand.Ra
 // cancellation and per-shard progress notification. When the environment's
 // context is cancelled, workers stop claiming new shards, every in-flight
 // shard is allowed to return (so no goroutine leaks), and RunEnv returns
-// nil results with ctx.Err(). An uncancelled RunEnv returns exactly what
-// Run would.
+// nil results with ctx.Err(). A panicking shard fails the run the same
+// way: workers claim no further shards and RunEnv returns an error
+// carrying the panic's value and stack, instead of the panic killing the
+// process from a pool goroutine. An uncancelled, panic-free RunEnv
+// returns exactly what Run would.
 func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, rng *rand.Rand) T) ([]T, error) {
 	if shards < 0 {
 		panic(fmt.Sprintf("mc: negative shard count %d", shards))
@@ -172,18 +179,21 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 		w = shards
 	}
 	var next atomic.Int64
+	var fail failure
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
 			defer wg.Done()
-			for {
+			s := -1
+			defer fail.catch(env.Tag, &s)
+			for !fail.failed.Load() {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				s := int(next.Add(1)) - 1
+				s = int(next.Add(1)) - 1
 				if s >= shards {
 					return
 				}
@@ -199,7 +209,42 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := fail.first(); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// failure is the first error of an engine run. Once it is set, workers
+// claim no further shards.
+type failure struct {
+	failed atomic.Bool
+	mu     sync.Mutex
+	err    error
+}
+
+func (f *failure) set(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.mu.Unlock()
+	f.failed.Store(true)
+}
+
+func (f *failure) first() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+// catch, deferred by every goroutine that runs shard code, turns a panic
+// into the run's error with the panic's value and stack. *shard is the
+// shard being computed when the panic struck.
+func (f *failure) catch(tag string, shard *int) {
+	if p := recover(); p != nil {
+		f.set(fmt.Errorf("mc: shard %d of %q panicked: %v\n%s", *shard, tag, p, debug.Stack()))
+	}
 }
 
 // runExec is the exported-shard execution path of RunEnv: every shard is
@@ -211,55 +256,48 @@ func runExec[T any](env Env, ctx context.Context, shards int, seed int64,
 	fn func(shard int, rng *rand.Rand) T, out []T, note func()) ([]T, error) {
 	done := env.Done()
 	var next atomic.Int64
-	var failed atomic.Bool
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
+	var fail failure
 	var wg sync.WaitGroup
 	wg.Add(shards)
 	for i := 0; i < shards; i++ {
 		go func() {
 			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
+			s := -1
+			defer fail.catch(env.Tag, &s)
+			for !fail.failed.Load() {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				s := int(next.Add(1)) - 1
+				s = int(next.Add(1)) - 1
 				if s >= shards {
 					return
 				}
+				k := s // Run may outlive this iteration on an executor's goroutine
 				job := ShardJob{
 					Ctx:    ctx,
 					Tag:    env.Tag,
-					Shard:  s,
+					Shard:  k,
 					Shards: shards,
-					Run:    func() any { return fn(s, stats.Derive(seed, int64(s))) },
-					Encode: func(v any) ([]byte, error) { return encodeShard(env.Tag, s, v) },
-					Decode: func(b []byte) (any, error) { return decodeShard[T](env.Tag, s, b) },
+					Run: func() any {
+						defer fail.catch(env.Tag, &k)
+						return fn(k, stats.Derive(seed, int64(k)))
+					},
+					Encode: func(v any) ([]byte, error) { return encodeShard(env.Tag, k, v) },
+					Decode: func(b []byte) (any, error) { return decodeShard[T](env.Tag, k, b) },
 				}
 				v, err := env.Exec(job)
 				if err != nil {
-					fail(err)
+					fail.set(err)
 					return
 				}
 				t, ok := v.(T)
 				if !ok {
-					fail(fmt.Errorf("mc: executor returned %T for shard %d of %q, want %T", v, s, env.Tag, t))
+					fail.set(fmt.Errorf("mc: executor returned %T for shard %d of %q, want %T", v, k, env.Tag, t))
 					return
 				}
-				out[s] = t
+				out[k] = t
 				note()
 			}
 		}()
@@ -268,8 +306,8 @@ func runExec[T any](env Env, ctx context.Context, shards int, seed int64,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := fail.first(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

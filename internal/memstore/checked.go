@@ -1,11 +1,8 @@
 package memstore
 
-import (
-	"faultmem/internal/mat"
-	"faultmem/internal/mem"
-)
+import "faultmem/internal/mem"
 
-// RecoveryStats counts what a Recovery saw and did across checked round
+// RecoveryStats counts what a Recovery saw and did across checked
 // trips. All fields are monotone counters so shard-level values merge
 // by addition (worker-count determinism: the per-trial increments are
 // fixed by the trial's RNG stream, and addition is order-free).
@@ -33,10 +30,10 @@ func (s *RecoveryStats) Merge(o RecoveryStats) {
 	s.BudgetDenied += o.BudgetDenied
 }
 
-// Recovery is the detect-and-recover state of the checked round trips:
-// the mechanism configuration (bounded re-reads, safe-memory restore
-// with a per-trial word budget), the DUE flag set of the last trip, and
-// the accumulated counters. One Recovery serves many trips; call
+// Recovery is the detect-and-recover state of a checked Trip: the
+// mechanism configuration (bounded re-reads, safe-memory restore with a
+// per-trial word budget), the DUE flag set of the last trip, and the
+// accumulated counters. One Recovery serves many trips; call
 // ResetTrial at each trial boundary to re-arm the budget.
 //
 // Recovery works per page, while the flagged rows still hold the
@@ -69,128 +66,6 @@ type Recovery struct {
 
 // ResetTrial re-arms the per-trial safe-word budget.
 func (r *Recovery) ResetTrial() { r.budgetUsed = 0 }
-
-// RoundTripCheckedValues is RoundTripCachedValues through the detection
-// layer: identical paging, writes, and decoded payload (bit-identical
-// when no recovery action fires — non-detecting memories cannot fire
-// any), plus per-word DUE flags in rec.DUE and the rec mechanisms
-// applied per page. rec must not be nil.
-func (c Codec) RoundTripCheckedValues(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
-	if len(ws.words) == 0 {
-		panic("memstore: RoundTripCheckedValues before EncodeValuesInto")
-	}
-	return c.roundTripCheckedWords(ws, m, rec)
-}
-
-// RoundTripCheckedInto is RoundTripCachedInto through the detection
-// layer (see RoundTripCheckedValues): the decoded dataset plus the DUE
-// flag set, whose indices follow the flat layout (row-major features,
-// then labels).
-func (c Codec) RoundTripCheckedInto(ws *Workspace, m mem.Word32, rec *Recovery) (*mat.Dense, []float64, *mem.DUESet) {
-	rows, cols := ws.cachedRows, ws.cachedCols
-	if rows == 0 {
-		panic("memstore: RoundTripCheckedInto before EncodeDatasetInto")
-	}
-	flat := c.roundTripCheckedWords(ws, m, rec)
-
-	if ws.x == nil {
-		ws.x = mat.NewDense(rows, cols)
-	} else if r, cc := ws.x.Dims(); r != rows || cc != cols {
-		ws.x = mat.NewDense(rows, cols)
-	}
-	for i := 0; i < rows; i++ {
-		ws.x.SetRow(i, flat[i*cols:(i+1)*cols])
-	}
-	if cap(ws.y) < rows {
-		ws.y = make([]float64, rows)
-	}
-	yOut := ws.y[:rows]
-	copy(yOut, flat[rows*cols:])
-	ws.y = yOut
-	return ws.x, yOut, &rec.DUE
-}
-
-// roundTripCheckedWords is roundTripCachedWords with detection: the
-// write dispatch (image / batch / scalar) is byte-for-byte the same, the
-// read dispatch swaps in the checked variants on mem.Detector memories,
-// and each page ends with the recovery pass over its fresh flags.
-func (c Codec) roundTripCheckedWords(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
-	if rec == nil {
-		panic("memstore: checked round trip with nil recovery")
-	}
-	pageWords := m.Words()
-	if pageWords == 0 {
-		panic("memstore: empty memory")
-	}
-	n := len(ws.words)
-	if cap(ws.flat) < n {
-		ws.flat = make([]float64, 0, n)
-	}
-	flat := ws.flat[:n]
-	ws.flat = flat
-	scale := c.scale()
-	rec.DUE.Reset(n)
-	det, detects := m.(mem.Detector)
-	bm, batched := m.(mem.BatchMemory)
-	var (
-		img []uint64
-		iw  mem.ImageWriter
-	)
-	if w, ok := m.(mem.ImageWriter); ok && batched {
-		if key := w.ImageKey(); key != "" {
-			iw, img = w, ws.imageFor(w, key)
-		}
-	}
-	if pageN := min(pageWords, n); batched && cap(ws.readBuf) < pageN {
-		ws.readBuf = make([]uint32, pageN)
-	}
-	for start := 0; start < n; start += pageWords {
-		end := start + pageWords
-		if end > n {
-			end = n
-		}
-		switch {
-		case img != nil:
-			iw.WriteImage(0, img[start:end])
-		case batched:
-			bm.WriteBatch(0, ws.words[start:end])
-		default:
-			for i := start; i < end; i++ {
-				m.Write(i-start, ws.words[i])
-			}
-		}
-		switch {
-		case detects && batched:
-			buf := ws.readBuf[:end-start]
-			det.ReadBatchChecked(0, buf, &rec.DUE, start)
-			for i, w := range buf {
-				flat[start+i] = float64(int32(w)) / scale
-			}
-		case detects:
-			for i := start; i < end; i++ {
-				v, due := det.ReadChecked(i - start)
-				if due {
-					rec.DUE.Set(i)
-				}
-				flat[i] = float64(int32(v)) / scale
-			}
-		case batched:
-			buf := ws.readBuf[:end-start]
-			bm.ReadBatch(0, buf)
-			for i, w := range buf {
-				flat[start+i] = float64(int32(w)) / scale
-			}
-		default:
-			for i := start; i < end; i++ {
-				flat[i] = float64(int32(m.Read(i-start))) / scale
-			}
-		}
-		if detects {
-			rec.recoverPage(ws, det, flat, start, end, scale)
-		}
-	}
-	return flat
-}
 
 // recoverPage runs the recovery mechanisms over the page's flagged
 // words while the page still occupies the memory: bounded re-reads

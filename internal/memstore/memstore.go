@@ -6,6 +6,12 @@
 // datasets of any size: the data is paged through the memory, so every
 // page experiences the same persistent fault map — the behaviour of
 // storing a working set in one physical macro.
+//
+// There is one round-trip path. EncodeDatasetInto or EncodeValuesInto
+// quantizes the clean data once into a Workspace; Codec.Trip then streams
+// those words through a memory per trial and returns the decoded values,
+// optionally through the detect-and-recover layer (Recovery); and
+// Workspace.Dataset reshapes them into a feature matrix and labels.
 package memstore
 
 import (
@@ -53,43 +59,6 @@ func (c Codec) Decode(w uint32) float64 {
 	return float64(int32(w)) / c.scale()
 }
 
-// RoundTripValues writes vals through the memory page by page and
-// returns the decoded read-back. len(vals) may exceed the memory size;
-// every page reuses the same words (and therefore the same fault map).
-func (c Codec) RoundTripValues(m mem.Word32, vals []float64) []float64 {
-	out := make([]float64, len(vals))
-	copy(out, vals)
-	c.roundTripInPlace(m, out)
-	return out
-}
-
-// roundTripInPlace overwrites vals with its faulty read-back, page by
-// page, without allocating. The quantization scale is hoisted out of
-// the per-word loop (Encode/Decode recompute the Ldexp per call, which
-// the profile shows on every dataset round trip).
-func (c Codec) roundTripInPlace(m mem.Word32, vals []float64) {
-	words := m.Words()
-	if words == 0 {
-		panic("memstore: empty memory")
-	}
-	if c.Frac < 0 || c.Frac > 31 {
-		panic(fmt.Sprintf("memstore: fractional bits %d outside [0,31]", c.Frac))
-	}
-	scale := c.scale()
-	for start := 0; start < len(vals); start += words {
-		end := start + words
-		if end > len(vals) {
-			end = len(vals)
-		}
-		for i := start; i < end; i++ {
-			m.Write(i-start, encodeScaled(vals[i], scale))
-		}
-		for i := start; i < end; i++ {
-			vals[i] = float64(int32(m.Read(i-start))) / scale
-		}
-	}
-}
-
 // encodeScaled is Encode with the 2^Frac scale precomputed; identical
 // result word for word.
 func encodeScaled(f, scale float64) uint32 {
@@ -106,43 +75,18 @@ func encodeScaled(f, scale float64) uint32 {
 	return uint32(int32(v))
 }
 
-// RoundTripMatrix round-trips a matrix (row-major) through the memory.
-func (c Codec) RoundTripMatrix(m mem.Word32, x *mat.Dense) *mat.Dense {
-	rows, cols := x.Dims()
-	flat := make([]float64, 0, rows*cols)
-	for i := 0; i < rows; i++ {
-		flat = append(flat, x.RawRow(i)...)
-	}
-	back := c.RoundTripValues(m, flat)
-	out := mat.NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			out.Set(i, j, back[i*cols+j])
-		}
-	}
-	return out
-}
-
-// RoundTripDataset round-trips features and targets: the paper stores
-// the entire training dataset in the unreliable memory (§5.2), so the
-// label vector is corrupted alongside the feature matrix.
-func (c Codec) RoundTripDataset(m mem.Word32, x *mat.Dense, y []float64) (*mat.Dense, []float64) {
-	var ws Workspace
-	return c.RoundTripDatasetInto(&ws, m, x, y)
-}
-
-// Workspace holds the scratch buffers of RoundTripDatasetInto so a
-// Monte-Carlo worker can reuse them across trials instead of allocating
-// a dataset-sized matrix and two flat copies per (trial, arm). The zero
-// value is ready to use; it grows to the largest dataset it has seen and
-// then performs no further allocations.
+// Workspace holds the clean-word cache and the scratch buffers of Trip
+// and Dataset so a Monte-Carlo worker can reuse them across trials
+// instead of allocating a dataset-sized matrix and flat copies per
+// (trial, arm). The zero value is ready to use; it grows to the largest
+// dataset it has seen and then performs no further allocations.
 type Workspace struct {
 	flat []float64
 	x    *mat.Dense
 	y    []float64
 
-	// Cached quantized dataset (EncodeDatasetInto /
-	// RoundTripCachedInto): the clean words and the shape they encode.
+	// Cached quantized data (EncodeDatasetInto / EncodeValuesInto): the
+	// clean words and the dataset shape they encode (0x0 for values).
 	words      []uint32
 	cachedRows int
 	cachedCols int
@@ -151,49 +95,10 @@ type Workspace struct {
 	// key) the physical image of the cached words, computed lazily once
 	// and shared by every memory with that key. The clean ECC encode is
 	// fault-independent, so images stay valid across Reset/Reprogram of
-	// the memories and are invalidated only when the dataset changes
-	// (EncodeDatasetInto).
+	// the memories and are invalidated only when the cached data changes.
 	images map[string][]uint64
 	// readBuf stages one page of batch reads.
 	readBuf []uint32
-}
-
-// RoundTripDatasetInto is RoundTripDataset on reusable buffers: the
-// returned matrix and slice alias ws and stay valid only until the next
-// call with the same workspace. Consumers that retain the data past one
-// model fit/score cycle must copy it (or use RoundTripDataset).
-func (c Codec) RoundTripDatasetInto(ws *Workspace, m mem.Word32, x *mat.Dense, y []float64) (*mat.Dense, []float64) {
-	rows, cols := x.Dims()
-	if rows != len(y) {
-		panic("memstore: X/Y length mismatch")
-	}
-	n := rows*cols + len(y)
-	if cap(ws.flat) < n {
-		ws.flat = make([]float64, 0, n)
-	}
-	flat := ws.flat[:0]
-	for i := 0; i < rows; i++ {
-		flat = append(flat, x.RawRow(i)...)
-	}
-	flat = append(flat, y...)
-	ws.flat = flat
-	c.roundTripInPlace(m, flat)
-
-	if ws.x == nil {
-		ws.x = mat.NewDense(rows, cols)
-	} else if r, cc := ws.x.Dims(); r != rows || cc != cols {
-		ws.x = mat.NewDense(rows, cols)
-	}
-	for i := 0; i < rows; i++ {
-		ws.x.SetRow(i, flat[i*cols:(i+1)*cols])
-	}
-	if cap(ws.y) < len(y) {
-		ws.y = make([]float64, len(y))
-	}
-	yOut := ws.y[:len(y)]
-	copy(yOut, flat[rows*cols:])
-	ws.y = yOut
-	return ws.x, yOut
 }
 
 // EncodeDatasetInto quantizes (x, y) once into the workspace's word
@@ -201,8 +106,8 @@ func (c Codec) RoundTripDatasetInto(ws *Workspace, m mem.Word32, x *mat.Dense, y
 // through many fault maps (the Fig. 7 engine: every arm of every
 // trial) pays the float-to-fixed-point conversion and the row
 // flattening once per shard instead of once per round trip; the
-// per-trial work left in RoundTripCachedInto is exactly the
-// fault-dependent part (memory writes, reads, decode).
+// per-trial work left in Trip is exactly the fault-dependent part
+// (memory writes, reads, decode).
 func (c Codec) EncodeDatasetInto(ws *Workspace, x *mat.Dense, y []float64) {
 	rows, cols := x.Dims()
 	if rows != len(y) {
@@ -235,7 +140,7 @@ func (c Codec) EncodeDatasetInto(ws *Workspace, x *mat.Dense, y []float64) {
 // workspace's word cache — the shapeless sibling of EncodeDatasetInto
 // for workloads whose memory-resident data is not a feature matrix
 // (sorting keys, solver coefficients). Read the corrupted values back
-// per trial with RoundTripCachedValues.
+// per trial with Trip.
 func (c Codec) EncodeValuesInto(ws *Workspace, vals []float64) {
 	if len(vals) == 0 {
 		panic("memstore: EncodeValuesInto of empty slice")
@@ -271,73 +176,45 @@ func (ws *Workspace) imageFor(iw mem.ImageWriter, key string) []uint64 {
 	return img
 }
 
-// RoundTripCachedInto streams the cached words (EncodeDatasetInto)
-// through the memory page by page and returns the decoded dataset —
-// bit-identical to RoundTripDatasetInto on the same data and memory,
-// minus the re-quantization. The returned matrix and slice alias ws
-// with the same lifetime rules as RoundTripDatasetInto. It panics if
-// no dataset has been cached.
+// Trip streams the cached words (EncodeDatasetInto or EncodeValuesInto)
+// through the memory page by page and returns the decoded flat values.
+// Every page reuses the same physical words, and therefore the same
+// fault map. The returned slice is workspace scratch, valid until the
+// next trip on ws; Dataset reshapes it. Trip panics if nothing is cached.
 //
 // Memories implementing mem.BatchMemory take the bulk write/read paths
 // (one call per page instead of one per word); memories additionally
 // implementing mem.ImageWriter with a non-empty key skip the clean-word
-// encode entirely, writing a cached physical image per page — the warm
-// trial's write phase reduces to a masked copy and its read phase to a
-// batch decode. Both fast paths produce bit-identical results to the
-// word-at-a-time oracle loop, which remains the fallback for plain
-// mem.Word32 implementations.
-func (c Codec) RoundTripCachedInto(ws *Workspace, m mem.Word32) (*mat.Dense, []float64) {
-	rows, cols := ws.cachedRows, ws.cachedCols
-	if rows == 0 {
-		panic("memstore: RoundTripCachedInto before EncodeDatasetInto")
+// encode entirely, writing a cached physical image per page, so a warm
+// trip's write is a masked copy and its read a batch decode. Both fast
+// paths are bit-identical to the word-at-a-time loop, which remains the
+// fallback for plain mem.Word32 implementations and the tests' oracle.
+//
+// With rec == nil the reads are plain. With rec != nil, a mem.Detector
+// memory reads checked: rec.DUE flags the flat positions of detected-
+// uncorrectable words, and rec's retry and restore mechanisms run on
+// each page while it still occupies the memory. Non-detecting memories
+// never flag, so rec then only resets its DUE set.
+func (c Codec) Trip(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
+	n := len(ws.words)
+	if n == 0 {
+		panic("memstore: Trip before EncodeDatasetInto or EncodeValuesInto")
 	}
-	flat := c.roundTripCachedWords(ws, m)
-
-	if ws.x == nil {
-		ws.x = mat.NewDense(rows, cols)
-	} else if r, cc := ws.x.Dims(); r != rows || cc != cols {
-		ws.x = mat.NewDense(rows, cols)
-	}
-	for i := 0; i < rows; i++ {
-		ws.x.SetRow(i, flat[i*cols:(i+1)*cols])
-	}
-	if cap(ws.y) < rows {
-		ws.y = make([]float64, rows)
-	}
-	yOut := ws.y[:rows]
-	copy(yOut, flat[rows*cols:])
-	ws.y = yOut
-	return ws.x, yOut
-}
-
-// RoundTripCachedValues streams the cached words (EncodeValuesInto or
-// EncodeDatasetInto) through the memory page by page and returns the
-// decoded flat values — the shapeless sibling of RoundTripCachedInto
-// with the same fast-path dispatch and the same aliasing rules (the
-// returned slice is workspace scratch, valid until the next round
-// trip). It panics if no values have been cached.
-func (c Codec) RoundTripCachedValues(ws *Workspace, m mem.Word32) []float64 {
-	if len(ws.words) == 0 {
-		panic("memstore: RoundTripCachedValues before EncodeValuesInto")
-	}
-	return c.roundTripCachedWords(ws, m)
-}
-
-// roundTripCachedWords is the shared paging core of the cached round
-// trips: it streams ws.words through the memory page by page into
-// ws.flat and returns the decoded values.
-func (c Codec) roundTripCachedWords(ws *Workspace, m mem.Word32) []float64 {
 	pageWords := m.Words()
 	if pageWords == 0 {
 		panic("memstore: empty memory")
 	}
-	n := len(ws.words)
 	if cap(ws.flat) < n {
-		ws.flat = make([]float64, 0, n)
+		ws.flat = make([]float64, n)
 	}
 	flat := ws.flat[:n]
 	ws.flat = flat
 	scale := c.scale()
+	var det mem.Detector
+	if rec != nil {
+		rec.DUE.Reset(n)
+		det, _ = m.(mem.Detector)
+	}
 	bm, batched := m.(mem.BatchMemory)
 	var (
 		img []uint64
@@ -352,10 +229,7 @@ func (c Codec) roundTripCachedWords(ws *Workspace, m mem.Word32) []float64 {
 		ws.readBuf = make([]uint32, pageN)
 	}
 	for start := 0; start < n; start += pageWords {
-		end := start + pageWords
-		if end > n {
-			end = n
-		}
+		end := min(start+pageWords, n)
 		switch {
 		case img != nil:
 			iw.WriteImage(0, img[start:end])
@@ -368,17 +242,59 @@ func (c Codec) roundTripCachedWords(ws *Workspace, m mem.Word32) []float64 {
 		}
 		if batched {
 			buf := ws.readBuf[:end-start]
-			bm.ReadBatch(0, buf)
+			if det != nil {
+				det.ReadBatchChecked(0, buf, &rec.DUE, start)
+			} else {
+				bm.ReadBatch(0, buf)
+			}
 			for i, w := range buf {
 				flat[start+i] = float64(int32(w)) / scale
 			}
-			continue
+		} else {
+			for i := start; i < end; i++ {
+				var w uint32
+				if det != nil {
+					var due bool
+					if w, due = det.ReadChecked(i - start); due {
+						rec.DUE.Set(i)
+					}
+				} else {
+					w = m.Read(i - start)
+				}
+				flat[i] = float64(int32(w)) / scale
+			}
 		}
-		for i := start; i < end; i++ {
-			flat[i] = float64(int32(m.Read(i-start))) / scale
+		if det != nil {
+			rec.recoverPage(ws, det, flat, start, end, scale)
 		}
 	}
 	return flat
+}
+
+// Dataset reshapes a trip's flat values into the cached dataset's
+// feature matrix and label slice (row-major features, then labels).
+// Both alias ws and stay valid only until the next Dataset call on it:
+// consumers that retain the data past one fit/score cycle must copy it.
+// It panics if no dataset shape is cached.
+func (ws *Workspace) Dataset(flat []float64) (*mat.Dense, []float64) {
+	rows, cols := ws.cachedRows, ws.cachedCols
+	if rows == 0 {
+		panic("memstore: Dataset before EncodeDatasetInto")
+	}
+	if ws.x == nil {
+		ws.x = mat.NewDense(rows, cols)
+	} else if r, cc := ws.x.Dims(); r != rows || cc != cols {
+		ws.x = mat.NewDense(rows, cols)
+	}
+	for i := 0; i < rows; i++ {
+		ws.x.SetRow(i, flat[i*cols:(i+1)*cols])
+	}
+	if cap(ws.y) < rows {
+		ws.y = make([]float64, rows)
+	}
+	ws.y = ws.y[:rows]
+	copy(ws.y, flat[rows*cols:])
+	return ws.x, ws.y
 }
 
 // WordsNeeded returns the number of 32-bit words a dataset of the given

@@ -66,11 +66,40 @@ func TestCodecSignHandling(t *testing.T) {
 	}
 }
 
+// tripValues is the allocating values round trip: encode into a fresh
+// workspace, then one plain Trip.
+func tripValues(c Codec, m mem.Word32, vals []float64) []float64 {
+	var ws Workspace
+	c.EncodeValuesInto(&ws, vals)
+	return c.Trip(&ws, m, nil)
+}
+
+// tripDataset is the allocating dataset round trip (see tripValues).
+func tripDataset(c Codec, m mem.Word32, x *mat.Dense, y []float64) (*mat.Dense, []float64) {
+	var ws Workspace
+	c.EncodeDatasetInto(&ws, x, y)
+	return ws.Dataset(c.Trip(&ws, m, nil))
+}
+
+// scalarOnly hides the batch and image interfaces of the memory it
+// wraps, so Trip takes its word-at-a-time loop: the oracle the fast
+// paths must match bit for bit. Checked reads still reach the wrapped
+// memory's detector, one word at a time.
+type scalarOnly struct{ mem.Word32 }
+
+func (s scalarOnly) ReadChecked(addr int) (uint32, bool) {
+	return s.Word32.(mem.Detector).ReadChecked(addr)
+}
+
+func (s scalarOnly) ReadBatchChecked(int, []uint32, *mem.DUESet, int) {
+	panic("scalarOnly: batch read on the scalar oracle")
+}
+
 func TestRoundTripValuesPerfectMemory(t *testing.T) {
 	c := DefaultCodec()
 	m := mem.NewPerfect(8)
 	vals := []float64{0, 1.25, -3.5, 100.0625, -0.0000152587890625}
-	got := c.RoundTripValues(m, vals)
+	got := tripValues(c, m, vals)
 	for i, v := range vals {
 		if got[i] != v {
 			t.Errorf("val %d: %g != %g", i, got[i], v)
@@ -89,7 +118,7 @@ func TestRoundTripPagesThroughSmallMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := make([]float64, 10)
-	got := c.RoundTripValues(raw, vals)
+	got := tripValues(c, raw, vals)
 	for i, v := range got {
 		if i%3 == 1 {
 			if v == 0 {
@@ -97,20 +126,6 @@ func TestRoundTripPagesThroughSmallMemory(t *testing.T) {
 			}
 		} else if v != 0 {
 			t.Errorf("index %d corrupted unexpectedly: %g", i, v)
-		}
-	}
-}
-
-func TestRoundTripMatrix(t *testing.T) {
-	c := DefaultCodec()
-	x := mat.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	m := mem.NewPerfect(4)
-	got := c.RoundTripMatrix(m, x)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 2; j++ {
-			if got.At(i, j) != x.At(i, j) {
-				t.Errorf("(%d,%d): %g != %g", i, j, got.At(i, j), x.At(i, j))
-			}
 		}
 	}
 }
@@ -126,7 +141,7 @@ func TestRoundTripDatasetCorruption(t *testing.T) {
 	}
 	x := mat.NewDense(32, 4)
 	y := make([]float64, 32)
-	xc, yc := c.RoundTripDataset(raw, x, y)
+	xc, yc := tripDataset(c, raw, x, y)
 	corrupted := 0
 	for i := 0; i < 32; i++ {
 		for j := 0; j < 4; j++ {
@@ -144,9 +159,11 @@ func TestRoundTripDatasetCorruption(t *testing.T) {
 	}
 }
 
-func TestRoundTripDatasetIntoMatchesAllocating(t *testing.T) {
-	// The workspace path must produce the same corrupted dataset as the
-	// allocating path, and reusing the workspace must not allocate.
+// TestTripWarmWorkspaceMatchesFresh pins workspace reuse: a workspace
+// that has held other data must reproduce a fresh workspace's corrupted
+// dataset, and a warm plain Trip plus Dataset on a real memory must not
+// allocate.
+func TestTripWarmWorkspaceMatchesFresh(t *testing.T) {
 	c := DefaultCodec()
 	fm := fault.Map{{Row: 0, Col: 31, Kind: fault.Flip}, {Row: 5, Col: 12, Kind: fault.Flip}}
 	raw, err := mem.NewRaw(64, fm)
@@ -163,9 +180,12 @@ func TestRoundTripDatasetIntoMatchesAllocating(t *testing.T) {
 		y[i] = rng.NormFloat64()
 	}
 
-	xa, ya := c.RoundTripDataset(raw, x, y)
+	xa, ya := tripDataset(c, raw, x, y)
 	var ws Workspace
-	xb, yb := c.RoundTripDatasetInto(&ws, raw, x, y)
+	c.EncodeValuesInto(&ws, make([]float64, 300)) // stale, larger data first
+	c.Trip(&ws, raw, nil)
+	c.EncodeDatasetInto(&ws, x, y)
+	xb, yb := ws.Dataset(c.Trip(&ws, raw, nil))
 	for i := 0; i < 32; i++ {
 		for j := 0; j < 4; j++ {
 			if xa.At(i, j) != xb.At(i, j) {
@@ -178,7 +198,7 @@ func TestRoundTripDatasetIntoMatchesAllocating(t *testing.T) {
 	}
 
 	avg := testing.AllocsPerRun(50, func() {
-		c.RoundTripDatasetInto(&ws, raw, x, y)
+		ws.Dataset(c.Trip(&ws, raw, nil))
 	})
 	if avg != 0 {
 		t.Errorf("warm workspace round trip allocates %.1f times", avg)
@@ -207,7 +227,7 @@ func TestRoundTripThroughECCIsClean(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.NormFloat64() * 10
 	}
-	got := c.RoundTripValues(eccm, vals)
+	got := tripValues(c, eccm, vals)
 	for i := range vals {
 		want := c.Decode(c.Encode(vals[i]))
 		if got[i] != want {
@@ -216,11 +236,11 @@ func TestRoundTripThroughECCIsClean(t *testing.T) {
 	}
 }
 
-// TestRoundTripCachedMatchesDirect pins the cached-words path: one
-// EncodeDatasetInto followed by RoundTripCachedInto must reproduce
-// RoundTripDatasetInto bit for bit on the same memory — across
-// multiple round trips of one cache and datasets larger than the
-// memory (paged).
+// TestRoundTripCachedMatchesDirect pins the fast paths of Trip against
+// its word-at-a-time oracle: the image path on a real memory must
+// reproduce the scalar loop on the same memory bit for bit — across
+// multiple trips of one cache and datasets larger than the memory
+// (paged).
 func TestRoundTripCachedMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := DefaultCodec()
@@ -235,21 +255,20 @@ func TestRoundTripCachedMatchesDirect(t *testing.T) {
 	}
 	memRows := 16 // far smaller than the dataset: exercises paging
 	fm := fault.GeneratePcell(rand.New(rand.NewSource(3)), memRows, 32, 0.01, fault.Flip)
+	mDirect, err := mem.NewRaw(memRows, fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mCached, err := mem.NewRaw(memRows, fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wsDirect, wsCached Workspace
+	c.EncodeDatasetInto(&wsDirect, x, y)
+	c.EncodeDatasetInto(&wsCached, x, y)
 	for trip := 0; trip < 3; trip++ {
-		mDirect, err := mem.NewRaw(memRows, fm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wsDirect Workspace
-		wantX, wantY := c.RoundTripDatasetInto(&wsDirect, mDirect, x, y)
-
-		mCached, err := mem.NewRaw(memRows, fm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wsCached Workspace
-		c.EncodeDatasetInto(&wsCached, x, y)
-		gotX, gotY := c.RoundTripCachedInto(&wsCached, mCached)
+		wantX, wantY := wsDirect.Dataset(c.Trip(&wsDirect, scalarOnly{mDirect}, nil))
+		gotX, gotY := wsCached.Dataset(c.Trip(&wsCached, mCached, nil))
 
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
@@ -265,10 +284,9 @@ func TestRoundTripCachedMatchesDirect(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Error("RoundTripCachedInto without a cached dataset did not panic")
+			t.Error("Trip without cached words did not panic")
 		}
 	}()
 	var empty Workspace
-	m2, _ := mem.NewRaw(memRows, fm)
-	c.RoundTripCachedInto(&empty, m2)
+	c.Trip(&empty, mCached, nil)
 }

@@ -596,10 +596,11 @@ func TestServeWorkerJoinsMidRun(t *testing.T) {
 }
 
 // TestServeSurvivesHostileCampaigns: a submission whose params used to
-// panic the Fig. 5 engine (Trun 0), and a campaign that panics outright,
-// each fail only their own job — with the panic's message and stack in
-// the final — while a concurrent good fig5 job still returns exactly its
-// local bytes, and the server keeps admitting work afterwards.
+// panic the Fig. 5 engine (Trun 0), a campaign that panics outright, and
+// an energy budget that panics inside an engine shard each fail only
+// their own job — with the panic's message and stack in the final —
+// while a concurrent good fig5 job still returns exactly its local
+// bytes, and the server keeps admitting work afterwards.
 func TestServeSurvivesHostileCampaigns(t *testing.T) {
 	srv := startServer(t, testConfig(t))
 	c := dial(t, srv, serve.Options{})
@@ -608,6 +609,7 @@ func TestServeSurvivesHostileCampaigns(t *testing.T) {
 		{Experiment: "fig5", Quick: true, Seed: &seed, Params: []byte(`{"CDF":{"Trun":0}}`)},
 		{Experiment: "panicky"},
 		{Experiment: "fig5", Quick: true, Seed: &seed},
+		{Experiment: "energy", Quick: true, Params: []byte(`{"RedundancyBudget":{"SpareRows":-1,"SpareCols":0}}`)},
 	}
 	finals := make([]*serve.FinalResult, len(specs))
 	var wg sync.WaitGroup
@@ -624,6 +626,9 @@ func TestServeSurvivesHostileCampaigns(t *testing.T) {
 	}
 	if f := finals[1]; !strings.Contains(f.Err, "synthetic campaign panic") || !strings.Contains(f.Err, "goroutine") {
 		t.Errorf("panicking job: err %q, want the panic value and its stack", f.Err)
+	}
+	if f := finals[3]; !strings.Contains(f.Err, "panicked") || !strings.Contains(f.Err, "goroutine") {
+		t.Errorf("energy shard panic: err %q, want the panic value and its stack", f.Err)
 	}
 	if f := finals[2]; f.Err != "" {
 		t.Fatalf("good fig5 job failed: %s", f.Err)

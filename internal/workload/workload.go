@@ -93,8 +93,8 @@ type Workspace struct {
 	Mem mem.Word32
 	// Recovery is the detect-and-recover state of the current (trial,
 	// arm), installed by the TrialRunner alongside Mem; nil means
-	// PolicyNone and selects the plain cached round trips (bit-identical
-	// to the pre-recovery engine). Instances round-trip through the
+	// PolicyNone and selects plain reads (bit-identical to the
+	// pre-recovery engine). Instances round-trip through the
 	// TripValues/TripDataset helpers so every workload honors the policy
 	// without knowing it exists.
 	Recovery *memstore.Recovery
@@ -104,24 +104,13 @@ type Workspace struct {
 }
 
 // TripValues round-trips the cached flat values through Mem under the
-// active recovery policy (the plain cached trip when none is set). The
-// returned slice is workspace scratch with the usual aliasing rules.
-func (ws *Workspace) TripValues() []float64 {
-	if ws.Recovery != nil {
-		return ws.Codec.RoundTripCheckedValues(&ws.Store, ws.Mem, ws.Recovery)
-	}
-	return ws.Codec.RoundTripCachedValues(&ws.Store, ws.Mem)
-}
+// active recovery policy. The returned slice is workspace scratch with
+// the usual aliasing rules.
+func (ws *Workspace) TripValues() []float64 { return ws.Codec.Trip(&ws.Store, ws.Mem, ws.Recovery) }
 
 // TripDataset round-trips the cached dataset through Mem under the
 // active recovery policy (see TripValues).
-func (ws *Workspace) TripDataset() (*mat.Dense, []float64) {
-	if ws.Recovery != nil {
-		x, y, _ := ws.Codec.RoundTripCheckedInto(&ws.Store, ws.Mem, ws.Recovery)
-		return x, y
-	}
-	return ws.Codec.RoundTripCachedInto(&ws.Store, ws.Mem)
-}
+func (ws *Workspace) TripDataset() (*mat.Dense, []float64) { return ws.Store.Dataset(ws.TripValues()) }
 
 // Arm is a buildable protection scheme. exp.Protection satisfies it;
 // the indirection keeps this package free of an import cycle with the

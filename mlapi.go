@@ -80,11 +80,20 @@ func DefaultCodec() FixedPointCodec { return memstore.DefaultCodec() }
 // (paging through it; faults corrupt the data) and returns the decoded
 // read-back — the §5.2 experiment step.
 func RoundTripDataset(m Memory, x *Matrix, y []float64) (*Matrix, []float64) {
-	return memstore.DefaultCodec().RoundTripDataset(m, x, y)
+	var ws memstore.Workspace
+	c := memstore.DefaultCodec()
+	c.EncodeDatasetInto(&ws, x, y)
+	return ws.Dataset(c.Trip(&ws, m, nil))
 }
 
 // RoundTripValues stores a float64 slice through the memory and returns
 // the decoded read-back.
 func RoundTripValues(m Memory, vals []float64) []float64 {
-	return memstore.DefaultCodec().RoundTripValues(m, vals)
+	if len(vals) == 0 {
+		return []float64{}
+	}
+	var ws memstore.Workspace
+	c := memstore.DefaultCodec()
+	c.EncodeValuesInto(&ws, vals)
+	return c.Trip(&ws, m, nil)
 }

@@ -59,6 +59,9 @@ func TestFacadeRoundTripHelpers(t *testing.T) {
 			t.Errorf("value %d: %g != %g", i, got[i], v)
 		}
 	}
+	if empty := RoundTripValues(m, []float64{}); empty == nil || len(empty) != 0 {
+		t.Errorf("empty round trip = %#v, want an empty slice", empty)
+	}
 	codec := DefaultCodec()
 	if codec.Decode(codec.Encode(3.75)) != 3.75 {
 		t.Error("codec round trip failed")
